@@ -20,18 +20,22 @@
 //   --seed N         workload seed, recorded verbatim for provenance
 //
 // Prints a markdown table (cycles/sec, speedup vs 1 thread, scaling
-// efficiency) and writes BENCH_fleet_throughput.json; the host block
+// efficiency, bytes per instance: RSS growth over spawn + warm-up divided
+// by the instance count) and writes BENCH_fleet_throughput.json; the host block
 // records the effective SIMD dispatch level (scalar/sse2/avx2) plus the
 // seed and journal arming, so any BENCH json can be tied back to a
 // reproducible configuration. In full
 // mode on a machine with >= 4 hardware threads, the run fails unless the
 // >= 256-instance sweep reaches >= 3x aggregate throughput at 4 threads.
 #include <benchmark/benchmark.h>
+#include <malloc.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -78,7 +82,16 @@ struct SweepResult {
   double machineCyclesPerSec = 0.0;
   double speedup = 1.0;     ///< vs the 1-thread run at the same instance count
   double efficiency = 1.0;  ///< speedup / threads
+  double bytesPerInstance = 0.0;  ///< RSS growth over spawn + warm-up / instances
 };
+
+int64_t rssBytes() {
+  std::ifstream statm("/proc/self/statm");
+  int64_t sizePages = 0;
+  int64_t residentPages = 0;
+  statm >> sizePages >> residentPages;
+  return residentPages * static_cast<int64_t>(sysconf(_SC_PAGESIZE));
+}
 
 /// Single-thread AoS reference at one instance count: the denominator of
 /// the batched-stepping layout win.
@@ -105,6 +118,8 @@ struct JitReference {
 SweepResult runSweep(const fleet::Fleet::ChartImagePtr& image, size_t instances,
                      int threads, int epochs, int cyclesPerEpoch,
                      const BenchOptions& opts, bool soa, bool* ok) {
+  malloc_trim(0);  // return the previous sweep's fleet: a clean RSS baseline
+  const int64_t rss0 = rssBytes();
   fleet::FleetConfig config;
   config.workerThreads = threads;
   config.soaBatching = soa;
@@ -123,6 +138,8 @@ SweepResult runSweep(const fleet::Fleet::ChartImagePtr& image, size_t instances,
                  instances, threads);
     *ok = false;
   }
+  const double bytesPerInstance =
+      static_cast<double>(rssBytes() - rss0) / static_cast<double>(instances);
   fleet.step(cyclesPerEpoch);  // one untimed epoch settles worker wake-up
 
   const auto start = std::chrono::steady_clock::now();
@@ -136,6 +153,7 @@ SweepResult runSweep(const fleet::Fleet::ChartImagePtr& image, size_t instances,
   SweepResult r;
   r.instances = instances;
   r.threads = threads;
+  r.bytesPerInstance = bytesPerInstance;
   // Subtract nothing for the settle epoch: counters cover it too, so scale
   // by the timed share of epochs instead.
   const double timedShare =
@@ -318,12 +336,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("| instances | threads | cfg cycles/s | mach cycles/s | speedup | efficiency |\n");
-  std::printf("|-----------|---------|--------------|---------------|---------|------------|\n");
+  std::printf("| instances | threads | cfg cycles/s | mach cycles/s | speedup | efficiency | B/instance |\n");
+  std::printf("|-----------|---------|--------------|---------------|---------|------------|------------|\n");
   for (const SweepResult& r : results)
-    std::printf("| %9zu | %7d | %12.0f | %13.0f | %6.2fx | %9.2f%% |\n",
+    std::printf("| %9zu | %7d | %12.0f | %13.0f | %6.2fx | %9.2f%% | %10.0f |\n",
                 r.instances, r.threads, r.configCyclesPerSec, r.machineCyclesPerSec,
-                r.speedup, 100.0 * r.efficiency);
+                r.speedup, 100.0 * r.efficiency, r.bytesPerInstance);
   if (!aosRefs.empty()) {
     std::printf("\n| instances | AoS 1t cycles/s | SoA-vs-AoS speedup |\n");
     std::printf("|-----------|-----------------|--------------------|\n");
@@ -357,9 +375,11 @@ int main(int argc, char** argv) {
     json += strfmt(
         "    {\"instances\": %zu, \"threads\": %d, "
         "\"config_cycles_per_sec\": %.0f, \"machine_cycles_per_sec\": %.0f, "
-        "\"speedup_vs_1t\": %.3f, \"efficiency\": %.3f}%s\n",
+        "\"speedup_vs_1t\": %.3f, \"efficiency\": %.3f, "
+        "\"bytes_per_instance\": %.0f}%s\n",
         r.instances, r.threads, r.configCyclesPerSec, r.machineCyclesPerSec,
-        r.speedup, r.efficiency, i + 1 < results.size() ? "," : "");
+        r.speedup, r.efficiency, r.bytesPerInstance,
+        i + 1 < results.size() ? "," : "");
   }
   json += "  ],\n  \"aos_reference\": [\n";
   for (size_t i = 0; i < aosRefs.size(); ++i) {

@@ -1,6 +1,9 @@
 #include "pscp/machine.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
+#include <new>
 
 #include "pscp/sched_cost.hpp"
 #include "support/bits.hpp"
@@ -9,6 +12,55 @@ namespace pscp::machine {
 
 using statechart::StateId;
 using statechart::TransitionId;
+
+namespace {
+
+/// Insert/remove `s` from a configuration held as a state bitset, the
+/// per-field current codes and the packed CR (shared by the image, which
+/// builds the initial configuration, and every machine).
+void applyActiveTo(const statechart::Chart& chart, const sla::CrLayout& layout,
+                   StateId s, bool active, BitVec& activeBits, int* fieldCode,
+                   BitVec& cr) {
+  if (activeBits.test(static_cast<int>(s)) == active) return;
+  activeBits.set(static_cast<int>(s), active);
+  if (s == chart.root()) return;  // the root has no CR code
+  const auto [fieldIndex, code] = layout.stateCode(s);
+  int& current = fieldCode[static_cast<size_t>(fieldIndex)];
+  if (active)
+    current = code;
+  else if (current == code)
+    current = 0;
+  else
+    return;  // another member owns the field; its bits are already correct
+  const sla::StateField& field = layout.stateFields()[static_cast<size_t>(fieldIndex)];
+  const int base = layout.stateBase() + field.baseBit;
+  for (int i = 0; i < field.width; ++i) cr.set(base + i, ((current >> i) & 1) != 0);
+}
+
+/// Typed view of the blob part at `offset` (byte storage; the part's
+/// elements are implicitly created there, so no other type aliases them).
+template <typename T>
+T* blobPart(std::byte* base, size_t offset) {
+  return std::launder(reinterpret_cast<T*>(base + offset));
+}
+
+/// Reserve `count` elements of `elemSize` bytes at the end of a blob.
+size_t place(size_t& bytes, size_t count, size_t elemSize) {
+  const size_t at = bytes;
+  bytes += count * elemSize;
+  return at;
+}
+
+bool isRegisterOp(tep::Opcode op) {
+  return op == tep::Opcode::LdaReg || op == tep::Opcode::StaReg ||
+         op == tep::Opcode::LdoReg;
+}
+
+bool isPortOp(tep::Opcode op) {
+  return op == tep::Opcode::Inp || op == tep::Opcode::Outp;
+}
+
+}  // namespace
 
 // -------------------------------------------------------------- ChartImage
 
@@ -23,7 +75,8 @@ ChartImage::ChartImage(const statechart::Chart& chart,
       sla_(chart, layout_),
       batched_(sla_),
       binding_(sla::makeBinding(chart, layout_)),
-      app_(compiler::Compiler(actions, binding_, arch_, options).compile(chart)) {
+      app_(compiler::Compiler(actions, binding_, arch_, options).compile(chart)),
+      microcode_(app_.program, arch_) {
   arch_.validate();
 
   // Precompute the structural data resolveConflicts and the configuration
@@ -61,6 +114,78 @@ ChartImage::ChartImage(const statechart::Chart& chart,
   exclusionGroupCount_ = static_cast<int>(groupIds.size());
   tier_ = std::make_unique<tep::jit::TierCache>(
       &app_.program, &arch_, static_cast<int>(transitionCount));
+  buildInstanceTemplate();
+}
+
+void ChartImage::buildInstanceTemplate() {
+  // Size every part from what the compiled application can touch: the
+  // storage layout's used RAM, every register and port the program or the
+  // data image names, the CR condition part and state fields.
+  const auto teps = static_cast<size_t>(arch_.numTeps);
+  BlobLayout& b = blob_;
+  b.conditionCount = layout_.conditionCount();
+  b.dirtyWords = (b.conditionCount + 63) / 64;
+  b.regCount = std::max(arch_.registerFileSize, app_.registersUsed);
+  b.internalBytes = app_.internalBytesUsed;
+  b.externalBytes = app_.externalBytesUsed;
+  int portCount = 0;
+  const auto addPort = [&](int address) {
+    PSCP_ASSERT(address >= 0);
+    if (address >= static_cast<int>(portSlot_.size()))
+      portSlot_.resize(static_cast<size_t>(address) + 1, -1);
+    int& slot = portSlot_[static_cast<size_t>(address)];
+    if (slot < 0) slot = portCount++;
+  };
+  for (const auto& [name, port] : chart_.ports()) addPort(port.address);
+  for (const tep::Instr& in : app_.program.code) {
+    if (isRegisterOp(in.op)) b.regCount = std::max(b.regCount, in.operand + 1);
+    if (isPortOp(in.op)) addPort(in.operand);
+  }
+  for (const auto& [reg, value] : app_.image.registers)
+    b.regCount = std::max(b.regCount, reg + 1);
+
+  size_t bytes = 0;
+  b.dispatchStats = place(bytes, 3 * teps, sizeof(int64_t));
+  b.condDirty = place(bytes, teps * static_cast<size_t>(b.dirtyWords), sizeof(uint64_t));
+  b.fieldCode = place(bytes, layout_.stateFields().size(), sizeof(int));
+  b.running = place(bytes, teps, sizeof(TransitionId));
+  b.regs = place(bytes, teps * static_cast<size_t>(b.regCount), sizeof(uint32_t));
+  b.ports = place(bytes, static_cast<size_t>(portCount), sizeof(uint32_t));
+  b.conditions = place(bytes, static_cast<size_t>(b.conditionCount), 1);
+  b.condCache = place(bytes, teps * static_cast<size_t>(b.conditionCount), 1);
+  b.groupInFlight = place(bytes, static_cast<size_t>(exclusionGroupCount_), 1);
+  b.internal = place(bytes, teps * static_cast<size_t>(b.internalBytes), 1);
+  b.external = place(bytes, static_cast<size_t>(b.externalBytes), 1);
+  b.bytes = bytes;
+
+  // The template: the initial configuration, no transition in flight, and
+  // the data image — memory bytes broadcast to every TEP's internal bank
+  // (as the loader does), initial registers to every register file.
+  blobTemplate_.assign(bytes, std::byte{0});
+  std::byte* const base = blobTemplate_.data();
+  initialActive_ = BitVec(static_cast<int>(chart_.stateCount()));
+  initialCr_ = BitVec(layout_.totalBits());
+  int* const fieldCode = blobPart<int>(base, b.fieldCode);
+  for (StateId s : chart_.defaultCompletion(chart_.root()))
+    applyActiveTo(chart_, layout_, s, true, initialActive_, fieldCode, initialCr_);
+  TransitionId* const running = blobPart<TransitionId>(base, b.running);
+  std::fill(running, running + teps, TransitionId{-1});
+  uint8_t* const internal = blobPart<uint8_t>(base, b.internal);
+  uint8_t* const external = blobPart<uint8_t>(base, b.external);
+  for (const auto& [addr, byte] : app_.image.bytes) {
+    if (addr >= 0 && addr < b.internalBytes) {
+      for (size_t t = 0; t < teps; ++t)
+        internal[t * static_cast<size_t>(b.internalBytes) + static_cast<size_t>(addr)] = byte;
+    } else {
+      PSCP_ASSERT(addr >= tep::kExternalBase &&
+                  addr < tep::kExternalBase + b.externalBytes);
+      external[static_cast<size_t>(addr - tep::kExternalBase)] = byte;
+    }
+  }
+  uint32_t* const regs = blobPart<uint32_t>(base, b.regs);
+  for (const auto& [reg, value] : app_.image.registers)
+    for (size_t t = 0; t < teps; ++t)
+      regs[t * static_cast<size_t>(b.regCount) + static_cast<size_t>(reg)] = value;
 }
 
 // ------------------------------------------------------------- PscpMachine
@@ -71,31 +196,39 @@ PscpMachine::PscpMachine(std::shared_ptr<const ChartImage> image)
       arch_(image_->arch_),
       layout_(image_->layout_),
       sla_(image_->sla_),
-      externalMem_(tep::kExternalSize, 0) {
-  internalBanks_.assign(static_cast<size_t>(arch_.numTeps),
-                        std::vector<uint8_t>(tep::kExternalBase, 0));
-  regBanks_.assign(static_cast<size_t>(arch_.numTeps), std::vector<uint32_t>(16, 0));
-  crConditions_.assign(static_cast<size_t>(layout_.conditionCount()), 0);
-  cr_ = BitVec(layout_.totalBits());
-  fieldCode_.assign(layout_.stateFields().size(), 0);
-  activeBits_ = BitVec(static_cast<int>(chart_.stateCount()));
-  pendingEventBits_ = BitVec(layout_.eventCount());
-  exitedScratch_ = BitVec(static_cast<int>(chart_.stateCount()));
-  groupInFlight_.assign(static_cast<size_t>(image_->exclusionGroupCount_), 0);
-  for (StateId s : chart_.defaultCompletion(chart_.root())) applyActive(s, true);
-  activeSnapshotBits_ = activeBits_;
+      activeBits_(image_->initialActive_),
+      activeSnapshotBits_(image_->initialActive_),
+      cr_(image_->initialCr_),
+      pendingEventBits_(layout_.eventCount()),
+      exitedScratch_(static_cast<int>(chart_.stateCount())) {
+  // One allocation plus one memcpy of the image's initialised template.
+  const ChartImage::BlobLayout& b = image_->blob_;
+  blob_ = std::make_unique_for_overwrite<std::byte[]>(b.bytes);
+  std::memcpy(blob_.get(), image_->blobTemplate_.data(), b.bytes);
+  std::byte* const base = blob_.get();
+  const auto teps = static_cast<size_t>(arch_.numTeps);
+  dispatchCycles_ = blobPart<int64_t>(base, b.dispatchStats);
+  dispatchInstrs_ = dispatchCycles_ + teps;
+  dispatchStalls_ = dispatchInstrs_ + teps;
+  condDirty_ = blobPart<uint64_t>(base, b.condDirty);
+  fieldCode_ = blobPart<int>(base, b.fieldCode);
+  running_ = blobPart<TransitionId>(base, b.running);
+  regs_ = blobPart<uint32_t>(base, b.regs);
+  ports_ = blobPart<uint32_t>(base, b.ports);
+  crConditions_ = blobPart<uint8_t>(base, b.conditions);
+  condCache_ = blobPart<uint8_t>(base, b.condCache);
+  groupInFlight_ = blobPart<uint8_t>(base, b.groupInFlight);
+  internal_ = blobPart<uint8_t>(base, b.internal);
+  external_ = blobPart<uint8_t>(base, b.external);
 
-  image_->app_.loadImage(*this);
+  // Every event can be sampled in one cycle: sized here, the sampling
+  // buffer never grows when an instance first sees simultaneous events.
+  eventScratch_.reserve(static_cast<size_t>(layout_.eventCount()));
+  teps_.reserve(teps);
   for (int i = 0; i < arch_.numTeps; ++i) {
-    teps_.push_back(std::make_unique<tep::Tep>(arch_, *this, i));
-    teps_.back()->setProgram(&image_->app_.program);
-    condCache_.emplace_back(static_cast<size_t>(layout_.conditionCount()), 0);
-    condDirty_.emplace_back(layout_.conditionCount());
+    teps_.emplace_back(arch_, *this, i);
+    teps_.back().setProgram(&image_->app_.program, &image_->microcode_);
   }
-  runningScratch_.assign(teps_.size(), -1);
-  dispatchCycles_.assign(static_cast<size_t>(arch_.numTeps), 0);
-  dispatchInstrs_.assign(static_cast<size_t>(arch_.numTeps), 0);
-  dispatchStalls_.assign(static_cast<size_t>(arch_.numTeps), 0);
 }
 
 PscpMachine::PscpMachine(const statechart::Chart& chart,
@@ -139,7 +272,7 @@ obs::TraceMeta PscpMachine::traceMeta() const {
 
 void PscpMachine::setObsOptions(const obs::ObsOptions& options) {
   obs_ = options;
-  for (auto& tep : teps_) tep->attachObserver(obs_.sink, &machineTimeNow_);
+  for (tep::Tep& tep : teps_) tep.attachObserver(obs_.sink, &machineTimeNow_);
   if (obs_.sink != nullptr) {
     obs_.sink->onAttach(traceMeta());
     machineTimeNow_ = totalCycles_;
@@ -151,90 +284,138 @@ PscpMachine::~PscpMachine() = default;
 // --------------------------------------------------- incremental CR upkeep
 
 void PscpMachine::applyActive(StateId s, bool active) {
-  if (activeBits_.test(static_cast<int>(s)) == active) return;
-  activeBits_.set(static_cast<int>(s), active);
-  if (s == chart_.root()) return;  // the root has no CR code
-  const auto [fieldIndex, code] = layout_.stateCode(s);
-  int& current = fieldCode_[static_cast<size_t>(fieldIndex)];
-  if (active)
-    current = code;
-  else if (current == code)
-    current = 0;
-  else
-    return;  // another member owns the field; its bits are already correct
-  const sla::StateField& field =
-      layout_.stateFields()[static_cast<size_t>(fieldIndex)];
-  const int base = layout_.stateBase() + field.baseBit;
-  for (int i = 0; i < field.width; ++i) cr_.set(base + i, ((current >> i) & 1) != 0);
+  applyActiveTo(chart_, layout_, s, active, activeBits_, fieldCode_, cr_);
 }
 
 void PscpMachine::setCrCondition(int index, bool value) {
-  PSCP_ASSERT(index >= 0 && index < static_cast<int>(crConditions_.size()));
+  PSCP_ASSERT(index >= 0 && index < layout_.conditionCount());
   crConditions_[static_cast<size_t>(index)] = value ? 1 : 0;
   cr_.set(layout_.conditionBase() + index, value);
+}
+
+void PscpMachine::writeBackConditions(size_t tep) {
+  const ChartImage::BlobLayout& b = image_->blob_;
+  uint64_t* const dirty = condDirty_ + tep * static_cast<size_t>(b.dirtyWords);
+  const uint8_t* const cache = condCache_ + tep * static_cast<size_t>(b.conditionCount);
+  for (int w = 0; w < b.dirtyWords; ++w) {
+    for (uint64_t bits = dirty[w]; bits != 0; bits &= bits - 1) {
+      const int c = w * 64 + std::countr_zero(bits);
+      setCrCondition(c, cache[c] != 0);
+    }
+    dirty[w] = 0;
+  }
 }
 
 // ----------------------------------------------------------------- TepHost
 
 uint8_t PscpMachine::readByte(int32_t addr) {
+  const ChartImage::BlobLayout& b = image_->blob_;
   if (addr >= 0 && addr < tep::kExternalBase) {
     // TEP-local bank; outside any TEP (loader/observers), bank 0.
     const size_t bank = currentTep_ >= 0 ? static_cast<size_t>(currentTep_) : 0;
-    return internalBanks_[bank][static_cast<size_t>(addr)];
+    if (!internalSpill_.empty() && internalSpill_[bank] != nullptr)
+      return internalSpill_[bank][static_cast<size_t>(addr)];
+    if (addr < b.internalBytes)
+      return internal_[bank * static_cast<size_t>(b.internalBytes) +
+                       static_cast<size_t>(addr)];
+    return 0;  // outside the compiled layout and never written
   }
-  if (tep::isExternalAddress(addr) && addr < tep::kExternalBase + tep::kExternalSize)
-    return externalMem_[static_cast<size_t>(addr - tep::kExternalBase)];
+  if (tep::isExternalAddress(addr) && addr < tep::kExternalBase + tep::kExternalSize) {
+    const auto offset = static_cast<size_t>(addr - tep::kExternalBase);
+    if (externalSpill_ != nullptr) return externalSpill_[offset];
+    return addr - tep::kExternalBase < b.externalBytes ? external_[offset] : 0;
+  }
   fail("PSCP: data read from unmapped address 0x%X", addr);
 }
 
 void PscpMachine::writeByte(int32_t addr, uint8_t value) {
+  const ChartImage::BlobLayout& b = image_->blob_;
   if (addr >= 0 && addr < tep::kExternalBase) {
-    if (currentTep_ >= 0) {
-      internalBanks_[static_cast<size_t>(currentTep_)][static_cast<size_t>(addr)] = value;
-    } else {
-      // Loader writes (initial data image) broadcast to every bank.
-      for (auto& bank : internalBanks_) bank[static_cast<size_t>(addr)] = value;
+    // Loader writes (outside any TEP) broadcast to every bank.
+    const size_t first = currentTep_ >= 0 ? static_cast<size_t>(currentTep_) : 0;
+    const size_t last = currentTep_ >= 0 ? first + 1 : teps_.size();
+    for (size_t bank = first; bank < last; ++bank) {
+      if (!internalSpill_.empty() && internalSpill_[bank] != nullptr) {
+        internalSpill_[bank][static_cast<size_t>(addr)] = value;
+      } else if (addr < b.internalBytes) {
+        internal_[bank * static_cast<size_t>(b.internalBytes) +
+                  static_cast<size_t>(addr)] = value;
+      } else {
+        spillInternal(bank)[static_cast<size_t>(addr)] = value;
+      }
     }
     return;
   }
   if (tep::isExternalAddress(addr) && addr < tep::kExternalBase + tep::kExternalSize) {
-    externalMem_[static_cast<size_t>(addr - tep::kExternalBase)] = value;
+    const auto offset = static_cast<size_t>(addr - tep::kExternalBase);
+    if (externalSpill_ != nullptr)
+      externalSpill_[offset] = value;
+    else if (addr - tep::kExternalBase < b.externalBytes)
+      external_[offset] = value;
+    else
+      spillExternal()[offset] = value;
     return;
   }
   fail("PSCP: data write to unmapped address 0x%X", addr);
 }
 
+uint8_t* PscpMachine::spillInternal(size_t tep) {
+  const auto size = static_cast<size_t>(image_->blob_.internalBytes);
+  if (internalSpill_.empty()) internalSpill_.resize(teps_.size());
+  internalSpill_[tep] = std::make_unique<uint8_t[]>(tep::kExternalBase);
+  std::memcpy(internalSpill_[tep].get(), internal_ + tep * size, size);
+  return internalSpill_[tep].get();
+}
+
+uint8_t* PscpMachine::spillExternal() {
+  externalSpill_ = std::make_unique<uint8_t[]>(tep::kExternalSize);
+  std::memcpy(externalSpill_.get(), external_,
+              static_cast<size_t>(image_->blob_.externalBytes));
+  return externalSpill_.get();
+}
+
 uint32_t PscpMachine::readReg(int index) {
-  PSCP_ASSERT(index >= 0 && index < 16);
+  PSCP_ASSERT(index >= 0 && index < image_->blob_.regCount);
   const size_t bank = currentTep_ >= 0 ? static_cast<size_t>(currentTep_) : 0;
-  return regBanks_[bank][static_cast<size_t>(index)];
+  return regs_[bank * static_cast<size_t>(image_->blob_.regCount) +
+               static_cast<size_t>(index)];
 }
 
 void PscpMachine::writeReg(int index, uint32_t value) {
-  PSCP_ASSERT(index >= 0 && index < 16);
+  const int regCount = image_->blob_.regCount;
+  PSCP_ASSERT(index >= 0 && index < regCount);
   if (currentTep_ >= 0) {
-    regBanks_[static_cast<size_t>(currentTep_)][static_cast<size_t>(index)] = value;
+    regs_[static_cast<size_t>(currentTep_ * regCount + index)] = value;
     return;
   }
-  for (auto& bank : regBanks_) bank[static_cast<size_t>(index)] = value;  // loader
+  for (size_t bank = 0; bank < teps_.size(); ++bank)  // loader
+    regs_[bank * static_cast<size_t>(regCount) + static_cast<size_t>(index)] = value;
+}
+
+const uint32_t* PscpMachine::findPort(int address) const {
+  PSCP_ASSERT(address >= 0);
+  const auto at = static_cast<size_t>(address);
+  const std::vector<int>& slots = image_->portSlot_;
+  if (at < slots.size() && slots[at] >= 0) return ports_ + slots[at];
+  return at < portSpill_.size() ? &portSpill_[at] : nullptr;
+}
+
+uint32_t& PscpMachine::portRef(int address) {
+  if (const uint32_t* cell = findPort(address)) return *const_cast<uint32_t*>(cell);
+  portSpill_.resize(static_cast<size_t>(address) + 1, 0);
+  return portSpill_[static_cast<size_t>(address)];
 }
 
 uint32_t PscpMachine::readPort(int address) {
-  PSCP_ASSERT(address >= 0);
-  if (address >= static_cast<int>(ports_.size())) return 0;
-  return ports_[static_cast<size_t>(address)];
+  const uint32_t* cell = findPort(address);
+  return cell != nullptr ? *cell : 0;
 }
 
 void PscpMachine::writePort(int address, uint32_t value) {
-  PSCP_ASSERT(address >= 0);
-  if (address >= static_cast<int>(ports_.size()))
-    ports_.resize(static_cast<size_t>(address) + 1, 0);
-  ports_[static_cast<size_t>(address)] = value;
+  portRef(address) = value;
   const int64_t cycleIndex = configCycles_ > 0 ? configCycles_ - 1 : 0;
   const statechart::TransitionId running =
-      (currentTep_ >= 0 && currentTep_ < static_cast<int>(runningScratch_.size()))
-          ? runningScratch_[static_cast<size_t>(currentTep_)]
-          : -1;
+      currentTep_ >= 0 ? running_[static_cast<size_t>(currentTep_)] : -1;
   portWrites_.push_back(
       PortWrite{address, value, cycleIndex, machineTimeNow_, currentTep_, running});
   if (obs_.sink != nullptr)
@@ -252,23 +433,23 @@ void PscpMachine::setCondition(int index, bool value) {
   // TEPs write their local condition cache; the write-back at routine end
   // moves it to the CR. Writes from outside any TEP hit the CR directly.
   if (currentTep_ >= 0) {
-    PSCP_ASSERT(index >= 0 &&
-                index < static_cast<int>(condCache_[static_cast<size_t>(currentTep_)].size()));
-    condCache_[static_cast<size_t>(currentTep_)][static_cast<size_t>(index)] =
+    const ChartImage::BlobLayout& b = image_->blob_;
+    PSCP_ASSERT(index >= 0 && index < b.conditionCount);
+    const auto tep = static_cast<size_t>(currentTep_);
+    condCache_[tep * static_cast<size_t>(b.conditionCount) + static_cast<size_t>(index)] =
         value ? 1 : 0;
-    condDirty_[static_cast<size_t>(currentTep_)].set(index);
+    condDirty_[tep * static_cast<size_t>(b.dirtyWords) + static_cast<size_t>(index / 64)] |=
+        uint64_t{1} << (index % 64);
     return;
   }
   setCrCondition(index, value);
 }
 
 bool PscpMachine::testCondition(int index) {
-  if (currentTep_ >= 0) {
-    PSCP_ASSERT(index >= 0 &&
-                index < static_cast<int>(condCache_[static_cast<size_t>(currentTep_)].size()));
-    return condCache_[static_cast<size_t>(currentTep_)][static_cast<size_t>(index)] != 0;
-  }
-  PSCP_ASSERT(index >= 0 && index < static_cast<int>(crConditions_.size()));
+  const int count = image_->blob_.conditionCount;
+  PSCP_ASSERT(index >= 0 && index < count);
+  if (currentTep_ >= 0)
+    return condCache_[static_cast<size_t>(currentTep_ * count + index)] != 0;
   return crConditions_[static_cast<size_t>(index)] != 0;
 }
 
@@ -326,10 +507,7 @@ void PscpMachine::setInputPort(const std::string& portName, uint32_t value) {
 }
 
 void PscpMachine::setInputPort(int portAddress, uint32_t value) {
-  PSCP_ASSERT(portAddress >= 0);
-  if (portAddress >= static_cast<int>(ports_.size()))
-    ports_.resize(static_cast<size_t>(portAddress) + 1, 0);
-  ports_[static_cast<size_t>(portAddress)] = value;
+  portRef(portAddress) = value;
 }
 
 uint32_t PscpMachine::outputPort(const std::string& portName) const {
@@ -337,8 +515,8 @@ uint32_t PscpMachine::outputPort(const std::string& portName) const {
 }
 
 uint32_t PscpMachine::outputPort(int portAddress) const {
-  if (portAddress < 0 || portAddress >= static_cast<int>(ports_.size())) return 0;
-  return ports_[static_cast<size_t>(portAddress)];
+  const uint32_t* cell = portAddress >= 0 ? findPort(portAddress) : nullptr;
+  return cell != nullptr ? *cell : 0;
 }
 
 int64_t PscpMachine::globalValue(const std::string& name) const {
@@ -347,7 +525,7 @@ int64_t PscpMachine::globalValue(const std::string& name) const {
   PSCP_ASSERT(g != nullptr);
   uint32_t raw = 0;
   if (p.storageClass == compiler::kStorageRegister) {
-    raw = regBanks_[0][static_cast<size_t>(p.address)];
+    raw = regs_[static_cast<size_t>(p.address)];  // bank 0
   } else {
     const int bytes = g->type->byteSize();
     for (int i = 0; i < bytes; ++i)
@@ -365,9 +543,7 @@ void PscpMachine::setGlobalValue(const std::string& name, int64_t value) {
   const actionlang::GlobalVar* g = image_->actions_.findGlobal(name);
   PSCP_ASSERT(g != nullptr);
   if (p.storageClass == compiler::kStorageRegister) {
-    for (auto& bank : regBanks_)
-      bank[static_cast<size_t>(p.address)] =
-          truncBits(static_cast<uint32_t>(value), g->type->width());
+    writeReg(p.address, truncBits(static_cast<uint32_t>(value), g->type->width()));
     return;
   }
   const int bytes = g->type->byteSize();
@@ -518,10 +694,11 @@ void PscpMachine::configurationCycleIds(const std::vector<int>& externalEventIds
   }
 
   // 3. Fill the TEP condition caches from the CR (flat byte copy).
-  for (size_t i = 0; i < teps_.size(); ++i) {
-    condCache_[i] = crConditions_;
-    condDirty_[i].clear();
-  }
+  const ChartImage::BlobLayout& blob = image_->blob_;
+  const auto conditionCount = static_cast<size_t>(blob.conditionCount);
+  for (size_t i = 0; i < teps_.size(); ++i)
+    std::memcpy(condCache_ + i * conditionCount, crConditions_, conditionCount);
+  std::fill_n(condDirty_, teps_.size() * static_cast<size_t>(blob.dirtyWords), 0);
 
   // 4. Execute the Transition Address Table. Serial-equivalent cycles (a
   //    single TEP, or a single selected transition) with no observer take
@@ -540,8 +717,8 @@ void PscpMachine::configurationCycleIds(const std::vector<int>& externalEventIds
   // "additional decode logic" of Sec. 4).
   std::vector<TransitionId>& table = tatScratch_;  // FIFO of pending transitions
   table.assign(chosen.begin(), chosen.end());
-  std::vector<TransitionId>& running = runningScratch_;
-  running.assign(teps_.size(), -1);
+  TransitionId* const running = running_;
+  std::fill_n(running, teps_.size(), TransitionId{-1});
   cycles = kSlaEvaluateCycles +
            static_cast<int64_t>(teps_.size()) *
                conditionCopyCycles(arch_, layout_.conditionCount());
@@ -556,12 +733,12 @@ void PscpMachine::configurationCycleIds(const std::vector<int>& externalEventIds
       table.erase(table.begin() + static_cast<std::ptrdiff_t>(j));
       running[tepIndex] = t;
       if (group >= 0) groupInFlight_[static_cast<size_t>(group)] = 1;
-      teps_[tepIndex]->startRoutine(image_->routineEntry_[static_cast<size_t>(t)]);
+      teps_[tepIndex].startRoutine(image_->routineEntry_[static_cast<size_t>(t)]);
       cycles += kDispatchCyclesPerTransition;
       if (sink != nullptr) {
-        dispatchCycles_[tepIndex] = teps_[tepIndex]->cyclesExecuted();
-        dispatchInstrs_[tepIndex] = teps_[tepIndex]->instructionsExecuted();
-        dispatchStalls_[tepIndex] = teps_[tepIndex]->stallCycles();
+        dispatchCycles_[tepIndex] = teps_[tepIndex].cyclesExecuted();
+        dispatchInstrs_[tepIndex] = teps_[tepIndex].instructionsExecuted();
+        dispatchStalls_[tepIndex] = teps_[tepIndex].stallCycles();
         sink->onDispatch(static_cast<int>(tepIndex), t,
                          static_cast<int>(table.size()), base + cycles);
       }
@@ -576,7 +753,7 @@ void PscpMachine::configurationCycleIds(const std::vector<int>& externalEventIds
   while (true) {
     bool anyBusy = false;
     for (size_t i = 0; i < teps_.size(); ++i)
-      if (teps_[i]->busy()) anyBusy = true;
+      if (teps_[i].busy()) anyBusy = true;
     if (!anyBusy && table.empty()) break;
 
     if (!anyBusy && !table.empty()) {
@@ -584,7 +761,7 @@ void PscpMachine::configurationCycleIds(const std::vector<int>& externalEventIds
       // finished groups and retry.
       for (size_t i = 0; i < teps_.size(); ++i) tryDispatch(i);
       if (std::none_of(teps_.begin(), teps_.end(),
-                       [](const auto& t) { return t->busy(); }))
+                       [](const tep::Tep& t) { return t.busy(); }))
         fail("PSCP scheduler deadlock (mutual-exclusion groups)");
       continue;
     }
@@ -595,33 +772,37 @@ void PscpMachine::configurationCycleIds(const std::vector<int>& externalEventIds
     machineTimeNow_ = base + cycles;
     for (size_t k = 0; k < teps_.size(); ++k) {
       const size_t i = (static_cast<size_t>(cycles) + k) % teps_.size();
-      if (!teps_[i]->busy()) continue;
+      if (!teps_[i].busy()) continue;
       currentTep_ = static_cast<int>(i);
-      teps_[i]->stepCycle();
+      teps_[i].stepCycle();
       currentTep_ = -1;
-      if (!teps_[i]->busy()) {
+      if (!teps_[i].busy()) {
         // Routine finished: write back this TEP's condition cache and free
         // its exclusion group, then hand it the next transition.
         const TransitionId done = running[i];
         running[i] = -1;
-        if (sink != nullptr && condDirty_[i].any()) {
+        if (sink != nullptr) {
           std::vector<std::pair<int, bool>> writes;
-          condDirty_[i].forEachSetBit(
-              [&](int c) { writes.emplace_back(c, condCache_[i][static_cast<size_t>(c)] != 0); });
-          sink->onCondWriteBack(static_cast<int>(i), writes, base + cycles);
+          const uint64_t* dirty = condDirty_ + i * static_cast<size_t>(blob.dirtyWords);
+          const uint8_t* cache = condCache_ + i * conditionCount;
+          for (int w = 0; w < blob.dirtyWords; ++w)
+            for (uint64_t bits = dirty[w]; bits != 0; bits &= bits - 1) {
+              const int c = w * 64 + std::countr_zero(bits);
+              writes.emplace_back(c, cache[c] != 0);
+            }
+          if (!writes.empty())
+            sink->onCondWriteBack(static_cast<int>(i), writes, base + cycles);
         }
-        condDirty_[i].forEachSetBit(
-            [&](int c) { setCrCondition(c, condCache_[i][static_cast<size_t>(c)] != 0); });
-        condDirty_[i].clear();
+        writeBackConditions(i);
         const int doneGroup = image_->exclusionGroup_[static_cast<size_t>(done)];
         if (doneGroup >= 0) groupInFlight_[static_cast<size_t>(doneGroup)] = 0;
         cycles += conditionCopyCycles(arch_, layout_.conditionCount());
         stats.fired.push_back(done);
         if (sink != nullptr) {
           obs::RoutineStats rs;
-          rs.cycles = teps_[i]->cyclesExecuted() - dispatchCycles_[i];
-          rs.instructions = teps_[i]->instructionsExecuted() - dispatchInstrs_[i];
-          rs.busStalls = teps_[i]->stallCycles() - dispatchStalls_[i];
+          rs.cycles = teps_[i].cyclesExecuted() - dispatchCycles_[i];
+          rs.instructions = teps_[i].instructionsExecuted() - dispatchInstrs_[i];
+          rs.busStalls = teps_[i].stallCycles() - dispatchStalls_[i];
           sink->onRetire(static_cast<int>(i), done, rs, base + cycles);
         }
         tryDispatch(i);
@@ -669,18 +850,18 @@ int64_t PscpMachine::runTatSerial(const std::vector<TransitionId>& chosen,
   // condition write-back after each retire.
   namespace jit = tep::jit;
   jit::TierCache& tier = image_->tierCache();
-  tep::Tep& core = *teps_[0];
+  tep::Tep& core = teps_[0];
   const int64_t condCopy = conditionCopyCycles(arch_, layout_.conditionCount());
   int64_t cycles = kSlaEvaluateCycles +
                    static_cast<int64_t>(teps_.size()) * condCopy;
   const int64_t maxMachineCycles = 4'000'000;
   int64_t stepped = 0;  // the lockstep guard counts stepped cycles only
-  runningScratch_.assign(teps_.size(), -1);
+  std::fill_n(running_, teps_.size(), TransitionId{-1});
 
   for (TransitionId t : chosen) {
     cycles += kDispatchCyclesPerTransition;
     const int entry = image_->routineEntry_[static_cast<size_t>(t)];
-    runningScratch_[0] = t;
+    running_[0] = t;
     const jit::CompiledFn fn = tier.dispatch(t, entry, jitMode_, jitThreshold_);
     currentTep_ = 0;
     if (fn != nullptr) {
@@ -707,7 +888,7 @@ int64_t PscpMachine::runTatSerial(const std::vector<TransitionId>& chosen,
       const int32_t status = fn(&ctx);
       if (status != 0) {
         currentTep_ = -1;
-        runningScratch_[0] = -1;
+        running_[0] = -1;
         throw Error(env.error.empty() ? std::string("PSCP: native tier fault")
                                       : env.error);
       }
@@ -732,10 +913,8 @@ int64_t PscpMachine::runTatSerial(const std::vector<TransitionId>& chosen,
       ++jitInterpRuns_;
     }
     currentTep_ = -1;
-    runningScratch_[0] = -1;
-    condDirty_[0].forEachSetBit(
-        [&](int c) { setCrCondition(c, condCache_[0][static_cast<size_t>(c)] != 0); });
-    condDirty_[0].clear();
+    running_[0] = -1;
+    writeBackConditions(0);
     cycles += condCopy;
     stats.fired.push_back(t);
   }

@@ -34,16 +34,25 @@
 //
 // Multi-instance organisation: everything a machine needs that depends
 // only on the chart — the CR layout, the synthesized SLA, the compiled
-// program, the per-transition exit/enter bitsets — lives in a ChartImage,
-// an immutable compile product that any number of machines share via
-// shared_ptr. A fleet spawns its Nth instance by allocating mutable state
-// only (memories, register banks, TEP cores); the compiler and SLA
-// synthesis run once per chart, not once per instance. Steady-state
-// stepping through configurationCycleIds(events, &stats) is allocation-
-// free: every per-cycle temporary is a member scratch buffer, so thousands
-// of instances stepped by a worker pool never serialize on the allocator.
+// program, the per-transition exit/enter bitsets, the microprogram decoder
+// table every TEP interprets from — lives in a ChartImage, an immutable
+// compile product that any number of machines share via shared_ptr. An
+// instance's mutable state is one contiguous blob sized from the compiled
+// application: per-TEP internal RAM banks exactly as large as the layout
+// uses, the used prefix of external RAM, the register file, the declared
+// ports, the CR condition part and the per-TEP condition caches. The image
+// holds an initialised template of that blob (data image broadcast to
+// every bank, initial registers and configuration), so spawning an
+// instance is one allocation and one memcpy. Addresses the layout does not
+// cover keep their architectural meaning: they read 0, and the first
+// write into a window materialises a full-size spill bank for it.
+// Steady-state stepping through configurationCycleIds(events, &stats) is
+// allocation-free: every per-cycle temporary is a member scratch buffer,
+// so thousands of instances stepped by a worker pool never serialize on
+// the allocator.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <set>
@@ -125,8 +134,36 @@ class ChartImage {
     return routineEntry_[static_cast<size_t>(transition)];
   }
 
+  /// The program's microprogram decoder for this arch, shared read-only
+  /// by every TEP of every instance over the image.
+  [[nodiscard]] const tep::MicrocodeTable& microcode() const { return microcode_; }
+
  private:
   friend class PscpMachine;
+
+  /// Where each part of an instance's mutable state sits in its blob.
+  /// Offsets are in bytes; 8-byte parts come first, then 4-byte parts,
+  /// then bytes, so every part is aligned for its element type.
+  struct BlobLayout {
+    int conditionCount = 0;
+    int dirtyWords = 0;     ///< condition-dirty mask words per TEP
+    int regCount = 0;       ///< registers per TEP
+    int internalBytes = 0;  ///< compact internal RAM bank per TEP
+    int externalBytes = 0;  ///< compact external RAM prefix
+    size_t dispatchStats = 0;  ///< int64 [3][TEP]: cycles, instrs, stalls
+    size_t condDirty = 0;      ///< uint64 [TEP][dirtyWords]
+    size_t fieldCode = 0;      ///< int per CR state field
+    size_t running = 0;        ///< int per TEP: transition in flight
+    size_t regs = 0;           ///< uint32 [TEP][regCount]
+    size_t ports = 0;          ///< uint32 per declared port slot
+    size_t conditions = 0;     ///< CR condition part, byte per bit
+    size_t condCache = 0;      ///< [TEP][conditionCount]
+    size_t groupInFlight = 0;  ///< byte per exclusion group
+    size_t internal = 0;       ///< [TEP][internalBytes]
+    size_t external = 0;       ///< [externalBytes]
+    size_t bytes = 0;
+  };
+  void buildInstanceTemplate();
 
   const statechart::Chart& chart_;
   const actionlang::Program& actions_;
@@ -146,6 +183,16 @@ class ChartImage {
   std::vector<int> routineEntry_;    ///< program entry index of t's routine
   int exclusionGroupCount_ = 0;
   std::unique_ptr<tep::jit::TierCache> tier_;
+  tep::MicrocodeTable microcode_;
+
+  // Instance state: the blob layout, its initialised template, and the
+  // initial configuration (as state bits and as the CR).
+  BlobLayout blob_;
+  std::vector<std::byte> blobTemplate_;
+  BitVec initialActive_;
+  BitVec initialCr_;
+  /// Port slot by bus address (-1: no declared port there).
+  std::vector<int> portSlot_;
 };
 
 class PscpMachine : public tep::TepHost {
@@ -159,6 +206,8 @@ class PscpMachine : public tep::TepHost {
               const hwlib::ArchConfig& arch,
               compiler::CompileOptions options = {});
   ~PscpMachine() override;
+  PscpMachine(const PscpMachine&) = delete;
+  PscpMachine& operator=(const PscpMachine&) = delete;
 
   /// Run one configuration cycle with the given external events.
   CycleStats configurationCycle(const std::set<std::string>& externalEvents);
@@ -308,6 +357,17 @@ class PscpMachine : public tep::TepHost {
   /// Insert/remove `s` from the configuration, keeping the packed activity
   /// bitset and the CR state field incrementally in sync.
   void applyActive(statechart::StateId s, bool active);
+  /// Internal RAM bank `tep` / external RAM at their full architectural
+  /// size, seeded from the compact blob on first use (out-of-layout write).
+  uint8_t* spillInternal(size_t tep);
+  uint8_t* spillExternal();
+  /// Storage of a port address: its blob slot, or the spill entry of an
+  /// address no declared port uses (null / grown on demand).
+  [[nodiscard]] const uint32_t* findPort(int address) const;
+  uint32_t& portRef(int address);
+  /// Write TEP `tep`'s dirty condition-cache entries back to the CR, in
+  /// ascending index order, and clear its dirty mask.
+  void writeBackConditions(size_t tep);
   /// Write one condition bit to both the byte array and the packed CR.
   void setCrCondition(int index, bool value);
   /// Conflict resolution over `selectScratch_` into `chosenScratch_`
@@ -343,8 +403,6 @@ class PscpMachine : public tep::TepHost {
   /// bits live only between sampling and SLA selection; condition bits
   /// track crConditions_; state fields track activeBits_.
   BitVec cr_;
-  std::vector<int> fieldCode_;         ///< current code per state field
-  std::vector<uint8_t> crConditions_;  ///< condition part, byte per bit
   /// Internal events raised since the last sampling: a dedup bitset plus
   /// the raise-ordered list (both reused across cycles, never freed).
   BitVec pendingEventBits_;
@@ -352,34 +410,43 @@ class PscpMachine : public tep::TepHost {
 
   // Per-cycle scratch buffers, hoisted out of configurationCycleIds so the
   // steady-state step never allocates: sampled event bits, SLA selection,
-  // conflict-resolution output, the Transition Address Table FIFO, and the
-  // per-TEP running-transition slots.
+  // conflict-resolution output and the Transition Address Table FIFO.
   std::vector<int> eventScratch_;
   std::vector<statechart::TransitionId> selectScratch_;
   std::vector<statechart::TransitionId> chosenScratch_;
   std::vector<statechart::TransitionId> tatScratch_;
-  std::vector<statechart::TransitionId> runningScratch_;
-  BitVec exitedScratch_;                 ///< resolveConflicts working set
-  std::vector<uint8_t> groupInFlight_;   ///< by interned exclusion group id
+  BitVec exitedScratch_;  ///< resolveConflicts working set
 
-  // Memory / registers / ports. Internal RAM is the TEP-local memory of
-  // Fig. 1 — one bank per TEP (function frames and expression temporaries
-  // land there, so parallel TEPs never race on them); external RAM and the
-  // register bank are shared.
-  std::vector<std::vector<uint8_t>> internalBanks_;
-  std::vector<uint8_t> externalMem_;
-  /// Register files are per TEP too ("units with or without associated
-  /// register files"): the compiler's register windows hold call frames.
-  std::vector<std::vector<uint32_t>> regBanks_;
-  std::vector<uint32_t> ports_;  ///< flat by bus address, grown on demand
+  // The instance blob (layout in ChartImage::BlobLayout) and typed views
+  // of its parts. Internal RAM is the TEP-local memory of Fig. 1 — one
+  // bank per TEP (function frames and expression temporaries land there,
+  // so parallel TEPs never race on them); external RAM is shared. Register
+  // files are per TEP too ("units with or without associated register
+  // files"): the compiler's register windows hold call frames. Condition
+  // caches are flat byte arrays (index = CR condition index) with a dirty
+  // bitmask per TEP; write-back walks the mask in ascending index order.
+  std::unique_ptr<std::byte[]> blob_;
+  int64_t* dispatchCycles_ = nullptr;  ///< per TEP, for RoutineStats deltas
+  int64_t* dispatchInstrs_ = nullptr;
+  int64_t* dispatchStalls_ = nullptr;
+  uint64_t* condDirty_ = nullptr;
+  int* fieldCode_ = nullptr;           ///< current code per state field
+  statechart::TransitionId* running_ = nullptr;  ///< per TEP, -1 = idle
+  uint32_t* regs_ = nullptr;
+  uint32_t* ports_ = nullptr;
+  uint8_t* crConditions_ = nullptr;    ///< condition part, byte per bit
+  uint8_t* condCache_ = nullptr;
+  uint8_t* groupInFlight_ = nullptr;   ///< by interned exclusion group id
+  uint8_t* internal_ = nullptr;
+  uint8_t* external_ = nullptr;
+  // Full-size banks, materialised by the first write outside the compiled
+  // layout (empty until then), and ports at undeclared addresses.
+  std::vector<std::unique_ptr<uint8_t[]>> internalSpill_;
+  std::unique_ptr<uint8_t[]> externalSpill_;
+  std::vector<uint32_t> portSpill_;  ///< flat by bus address, grown on demand
   std::vector<PortWrite> portWrites_;
 
-  // TEP cores and their condition caches: flat byte arrays (index = CR
-  // condition index) with a dirty bitmask per TEP; write-back walks the
-  // mask in ascending index order.
-  std::vector<std::unique_ptr<tep::Tep>> teps_;
-  std::vector<std::vector<uint8_t>> condCache_;  ///< full copy per TEP
-  std::vector<BitVec> condDirty_;                ///< written entries
+  std::vector<tep::Tep> teps_;
   int currentTep_ = -1;
 
   // External-bus arbitration (single owner per machine cycle).
@@ -403,11 +470,6 @@ class PscpMachine : public tep::TepHost {
   // and never feeds back into the cycle accounting.
   obs::ObsOptions obs_;
   int64_t machineTimeNow_ = 0;
-
-  // Per-TEP counter snapshots at dispatch, for RoutineStats deltas.
-  std::vector<int64_t> dispatchCycles_;
-  std::vector<int64_t> dispatchInstrs_;
-  std::vector<int64_t> dispatchStalls_;
 };
 
 }  // namespace pscp::machine

@@ -67,32 +67,24 @@ void SimpleHost::writeWord(int32_t addr, uint32_t value, int bytes) {
 Tep::Tep(const hwlib::ArchConfig& config, TepHost& host, int id)
     : config_(config), host_(host), id_(id) {
   config_.validate();
-  callStack_.reserve(32);
 }
 
-void Tep::setProgram(const AsmProgram* program) {
+void Tep::setProgram(const AsmProgram* program, const MicrocodeTable* microcode) {
   program_ = program;
-  microCache_.clear();
-  microByPc_.assign(program != nullptr ? program->code.size() : 0, nullptr);
-}
-
-const std::vector<MicroInstr>& Tep::microProgramFor(const Instr& instr) {
-  std::string key = opcodeMnemonic(instr.op);
-  if (isWidthSensitive(instr.op)) key += strfmt(".%d", instr.width);
-  const bool isShift =
-      instr.op == Opcode::Shl || instr.op == Opcode::Shr || instr.op == Opcode::Sar;
-  if (isShift && !config_.hasBarrelShifter) key += strfmt("/%d", instr.operand);
-  auto it = microCache_.find(key);
-  if (it == microCache_.end())
-    it = microCache_.emplace(key, microcodeFor(instr, config_)).first;
-  return it->second;
+  ownMicrocode_.reset();
+  if (program != nullptr && microcode == nullptr) {
+    ownMicrocode_ = std::make_unique<const MicrocodeTable>(*program, config_);
+    microcode = ownMicrocode_.get();
+  }
+  PSCP_ASSERT(program == nullptr || microcode->programSize() == program->code.size());
+  microcode_ = microcode;
 }
 
 void Tep::startRoutine(int entry) {
   PSCP_ASSERT(program_ != nullptr);
   PSCP_ASSERT(entry >= 0 && entry < static_cast<int>(program_->code.size()));
   pc_ = entry;
-  callStack_.clear();
+  callDepth_ = 0;
   busy_ = true;
   extPhase_ = 0;
   beginInstruction();
@@ -102,11 +94,7 @@ void Tep::beginInstruction() {
   if (pc_ < 0 || pc_ >= static_cast<int>(program_->code.size()))
     fail("TEP%d: PC %d ran off the program (size %zu)", id_, pc_, program_->code.size());
   current_ = program_->code[static_cast<size_t>(pc_)];
-  // Program memory is immutable while loaded, so the microprogram of a
-  // given PC never changes: resolve it once, then hit the pointer table.
-  const std::vector<MicroInstr>*& slot = microByPc_[static_cast<size_t>(pc_)];
-  if (slot == nullptr) slot = &microProgramFor(current_);
-  microProgram_ = slot;
+  microProgram_ = microcode_->at(pc_, &microLength_);
   microPc_ = 0;
   // The PC advances as the instruction enters execution; the IFetch state
   // (when present — the pipelined TEP overlaps it away) is pure cost.
@@ -123,7 +111,7 @@ bool needsExternalBus(const MicroInstr& mi, int32_t mar) {
 void Tep::stepCycle() {
   if (!busy_) return;
   ++cycles_;
-  const MicroInstr& mi = (*microProgram_)[microPc_];
+  const MicroInstr& mi = microProgram_[microPc_];
   if (needsExternalBus(mi, mar_)) {
     if (!host_.acquireExternalBus(id_)) {
       ++stalls_;
@@ -139,7 +127,7 @@ void Tep::stepCycle() {
   }
   execMicroOp(mi);
   ++microPc_;
-  if (microPc_ >= microProgram_->size()) {
+  if (microPc_ >= microLength_) {
     ++instructions_;
     if (sink_ != nullptr) sink_->onInstrRetire(id_, obsNow());
     if (busy_) beginInstruction();
@@ -364,14 +352,13 @@ void Tep::execMicroOp(const MicroInstr& mi) {
       }
       break;
     case MicroOp::CallPush:
-      if (callStack_.size() >= 32) fail("TEP%d: call stack overflow", id_);
-      callStack_.push_back(pc_);
+      if (callDepth_ >= kCallDepth) fail("TEP%d: call stack overflow", id_);
+      callStack_[static_cast<size_t>(callDepth_++)] = pc_;
       pc_ = current_.operand;
       break;
     case MicroOp::RetPop:
-      if (callStack_.empty()) fail("TEP%d: RET with empty call stack", id_);
-      pc_ = callStack_.back();
-      callStack_.pop_back();
+      if (callDepth_ == 0) fail("TEP%d: RET with empty call stack", id_);
+      pc_ = callStack_[static_cast<size_t>(--callDepth_)];
       break;
 
     case MicroOp::PortRead:

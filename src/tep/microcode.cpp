@@ -402,24 +402,51 @@ std::vector<uint16_t> MicrocodeRom::encode() const {
   return rom;
 }
 
+namespace {
+bool isShift(Opcode op) {
+  return op == Opcode::Shl || op == Opcode::Shr || op == Opcode::Sar;
+}
+}  // namespace
+
+std::string microcodeKey(const Instr& instr, const hwlib::ArchConfig& config) {
+  std::string key = opcodeMnemonic(instr.op);
+  if (isWidthSensitive(instr.op)) key += strfmt(".%d", instr.width);
+  // Shift microprograms additionally depend on the count without a
+  // barrel shifter.
+  if (isShift(instr.op) && !config.hasBarrelShifter)
+    key += strfmt("/%d", instr.operand);
+  return key;
+}
+
 MicrocodeRom buildMicrocodeRom(const AsmProgram& program, const hwlib::ArchConfig& config) {
   MicrocodeRom rom;
   for (const Instr& in : program.code) {
-    std::string key = opcodeMnemonic(in.op);
-    if (isWidthSensitive(in.op)) key += strfmt(".%d", in.width);
-    // Shift microprograms additionally depend on the count without a
-    // barrel shifter.
-    const bool isShift =
-        in.op == Opcode::Shl || in.op == Opcode::Shr || in.op == Opcode::Sar;
-    if (isShift && !config.hasBarrelShifter) key += strfmt("/%d", in.operand);
+    const std::string key = microcodeKey(in, config);
     if (rom.programs.count(key) != 0) continue;
     Instr normalized = in;
     // Operands do not change the microprogram shape (they feed the datapath
     // as literals), except for shift counts handled above.
-    if (!isShift) normalized.operand = 0;
+    if (!isShift(in.op)) normalized.operand = 0;
     rom.programs[key] = microcodeFor(normalized, config);
   }
   return rom;
+}
+
+MicrocodeTable::MicrocodeTable(const AsmProgram& program,
+                               const hwlib::ArchConfig& config) {
+  // The interpreter reads operands from the instruction register, never
+  // from a microinstruction's operand field, so the ROM's operand-
+  // normalized microprograms execute exactly like per-instruction ones.
+  const MicrocodeRom rom = buildMicrocodeRom(program, config);
+  std::map<std::string, Entry> placed;
+  for (const auto& [key, micro] : rom.programs) {
+    placed[key] = {static_cast<uint32_t>(words_.size()),
+                   static_cast<uint32_t>(micro.size())};
+    words_.insert(words_.end(), micro.begin(), micro.end());
+  }
+  entries_.reserve(program.code.size());
+  for (const Instr& in : program.code)
+    entries_.push_back(placed.at(microcodeKey(in, config)));
 }
 
 }  // namespace pscp::tep

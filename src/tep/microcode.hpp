@@ -123,4 +123,35 @@ struct MicrocodeRom {
 [[nodiscard]] MicrocodeRom buildMicrocodeRom(const AsmProgram& program,
                                              const hwlib::ArchConfig& config);
 
+/// ROM key of `instr`'s microprogram: mnemonic, width when it matters, and
+/// the shift count when there is no barrel shifter.
+[[nodiscard]] std::string microcodeKey(const Instr& instr,
+                                       const hwlib::ArchConfig& config);
+
+/// The microprogram decoder of one (program, arch) pair as the TEP
+/// interpreter reads it: the application's MicrocodeRom laid out flat,
+/// plus each program counter's entry point into it. Built eagerly and
+/// immutable afterwards, so one table serves every TEP of every instance
+/// over a chart image, from any number of threads.
+class MicrocodeTable {
+ public:
+  MicrocodeTable(const AsmProgram& program, const hwlib::ArchConfig& config);
+
+  /// The microprogram of the instruction at `pc` (in range by contract).
+  [[nodiscard]] const MicroInstr* at(int pc, size_t* length) const {
+    const Entry& e = entries_[static_cast<size_t>(pc)];
+    *length = e.length;
+    return words_.data() + e.offset;
+  }
+  [[nodiscard]] size_t programSize() const { return entries_.size(); }
+
+ private:
+  struct Entry {
+    uint32_t offset = 0;
+    uint32_t length = 0;
+  };
+  std::vector<MicroInstr> words_;  ///< every unique microprogram, concatenated
+  std::vector<Entry> entries_;     ///< per program counter
+};
+
 }  // namespace pscp::tep

@@ -5,8 +5,11 @@
 //
 // This TU replaces the global operator new/delete with counting versions
 // (forwarding to malloc/free, so behaviour is unchanged for the whole
-// test binary) and asserts a delta of zero across 1000 hot cycles.
+// test binary) and asserts a delta of zero across 1000 hot cycles. The
+// same hooks keep a live-byte total (malloc's usable size of every block
+// operator new hands out), which the instance-footprint guard reads.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdlib>
@@ -16,37 +19,50 @@
 #include "fleet/fleet.hpp"
 #include "pscp/machine.hpp"
 #include "statechart/parser.hpp"
+#include "workloads/smd_fleet.hpp"
 
 namespace {
 std::atomic<uint64_t> gAllocations{0};
+std::atomic<int64_t> gLiveBytes{0};
+
+void* counted(void* p) {
+  if (p != nullptr) {
+    gAllocations.fetch_add(1, std::memory_order_relaxed);
+    gLiveBytes.fetch_add(static_cast<int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  }
+  return p;
+}
 
 void* countedAlloc(std::size_t size) {
-  gAllocations.fetch_add(1, std::memory_order_relaxed);
-  if (size == 0) size = 1;
-  void* p = std::malloc(size);
+  void* p = counted(std::malloc(size == 0 ? 1 : size));
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
 
 void* countedAlignedAlloc(std::size_t size, std::size_t alignment) {
-  gAllocations.fetch_add(1, std::memory_order_relaxed);
   if (size == 0) size = alignment;
   const std::size_t rounded = (size + alignment - 1) / alignment * alignment;
-  void* p = std::aligned_alloc(alignment, rounded);
+  void* p = counted(std::aligned_alloc(alignment, rounded));
   if (p == nullptr) throw std::bad_alloc();
   return p;
+}
+
+void countedFree(void* p) {
+  if (p != nullptr)
+    gLiveBytes.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  std::free(p);
 }
 }  // namespace
 
 void* operator new(std::size_t size) { return countedAlloc(size); }
 void* operator new[](std::size_t size) { return countedAlloc(size); }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  gAllocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
+  return counted(std::malloc(size == 0 ? 1 : size));
 }
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  gAllocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
+  return counted(std::malloc(size == 0 ? 1 : size));
 }
 void* operator new(std::size_t size, std::align_val_t align) {
   return countedAlignedAlloc(size, static_cast<std::size_t>(align));
@@ -55,19 +71,19 @@ void* operator new[](std::size_t size, std::align_val_t align) {
   return countedAlignedAlloc(size, static_cast<std::size_t>(align));
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { countedFree(p); }
+void operator delete[](void* p) noexcept { countedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { countedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { countedFree(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { countedFree(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { countedFree(p); }
+void operator delete(void* p, std::align_val_t) noexcept { countedFree(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { countedFree(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  countedFree(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  countedFree(p);
 }
 
 namespace pscp::machine {
@@ -269,6 +285,89 @@ TEST(SteadyStateAllocations, FleetEpochLoopIsAllocationFreeWithJournalArmed) {
   ASSERT_NE(f.journal(), nullptr);
   EXPECT_GT(f.journal()->ops().size(), 200u * 17u);
   EXPECT_GE(f.journal()->checkpointCount(), 50u);
+}
+
+// Footprint guard: an instance's heap is what its compiled application
+// needs, not the architectural memory windows. One 2-TEP SMD machine over
+// a shared image, driven through the warm-up recipe and then two X/Y
+// pulse pairs, measured as live heap bytes (malloc usable sizes). Measured
+// on x86-64 glibc: 3 176 B in 9 allocations at construction, 3 384 B after
+// warm-up and after each pulse pair, which allocate nothing. With dense
+// 16 KB memory windows and per-TEP microcode caches the same machine held
+// 62 080 B in 41 allocations at construction, 68 944 B after warm-up and
+// 70 592 B after the first pulse pair.
+TEST(InstanceFootprint, SmdInstanceFitsItsBudget) {
+  const auto image = workloads::makeSmdFleetImage();
+  // Native code lives on the shared image: compile every routine up front
+  // so the budget counts instance state only, at any PSCP_JIT mode.
+  for (int t = 0; t < static_cast<int>(image->chart().transitions().size()); ++t)
+    (void)image->tierCache().precompile(t, image->routineEntry(t));
+
+  const std::vector<int> pulses{image->layout().eventBit("X_PULSE"),
+                                image->layout().eventBit("Y_PULSE")};
+  CycleStats stats;
+  stats.fired.reserve(8);
+
+  const int64_t before = gLiveBytes.load(std::memory_order_relaxed);
+  const uint64_t allocsBefore = gAllocations.load(std::memory_order_relaxed);
+  auto machine = std::make_unique<PscpMachine>(image);
+  const int64_t constructed = gLiveBytes.load(std::memory_order_relaxed) - before;
+  const uint64_t constructAllocs =
+      gAllocations.load(std::memory_order_relaxed) - allocsBefore;
+  ASSERT_TRUE(workloads::warmUpSmdInstance(*machine, machine->eventId("DATA_VALID")));
+  const int64_t warmed = gLiveBytes.load(std::memory_order_relaxed) - before;
+  uint64_t pulseAllocs[2] = {0, 0};
+  auto pulsePair = [&](int pair) {
+    const uint64_t allocs = gAllocations.load(std::memory_order_relaxed);
+    machine->configurationCycleIds(pulses, &stats);
+    machine->clearPortWrites();
+    pulseAllocs[pair] = gAllocations.load(std::memory_order_relaxed) - allocs;
+    EXPECT_EQ(stats.fired.size(), 2u) << "both DeltaT routines must fire";
+    return gLiveBytes.load(std::memory_order_relaxed) - before;
+  };
+  const int64_t afterFirst = pulsePair(0);
+  const int64_t afterSecond = pulsePair(1);
+
+  std::printf("instance footprint: %lld B constructed (%llu allocations), "
+              "%lld B after warm-up, %lld B after pulse pair 1 (%llu allocations), "
+              "%lld B after pair 2 (%llu allocations)\n",
+              static_cast<long long>(constructed),
+              static_cast<unsigned long long>(constructAllocs),
+              static_cast<long long>(warmed), static_cast<long long>(afterFirst),
+              static_cast<unsigned long long>(pulseAllocs[0]),
+              static_cast<long long>(afterSecond),
+              static_cast<unsigned long long>(pulseAllocs[1]));
+  EXPECT_LE(constructed, 8192) << "in " << constructAllocs << " allocations";
+  EXPECT_LE(afterSecond, 8192);
+  // The first pulse pair runs instructions warm-up never fetched: with one
+  // shared, eagerly built microcode table it must not allocate anything.
+  EXPECT_EQ(pulseAllocs[0], 0u);
+  EXPECT_EQ(pulseAllocs[1], 0u);
+  EXPECT_EQ(afterFirst, warmed);
+  EXPECT_EQ(afterSecond, afterFirst);
+}
+
+// Addresses past the compiled layout cost nothing until written: a read
+// gives 0 without allocating, and only the first write into a window
+// materialises its full-size spill bank.
+TEST(InstanceFootprint, OutOfLayoutReadsAllocateNothing) {
+  const auto image = workloads::makeSmdFleetImage();
+  PscpMachine machine(image);
+  const int32_t internalAddr = tep::kExternalBase - 1;
+  const int32_t externalAddr = tep::kExternalBase + tep::kExternalSize - 1;
+  ASSERT_GT(internalAddr, image->app().internalBytesUsed);
+  const int64_t before = gLiveBytes.load(std::memory_order_relaxed);
+  EXPECT_EQ(machine.readByte(internalAddr), 0);
+  EXPECT_EQ(machine.readByte(externalAddr), 0);
+  EXPECT_EQ(gLiveBytes.load(std::memory_order_relaxed), before);
+
+  machine.writeByte(externalAddr, 0x5A);
+  const int64_t externalSpill = gLiveBytes.load(std::memory_order_relaxed) - before;
+  EXPECT_GE(externalSpill, tep::kExternalSize);
+  EXPECT_LT(externalSpill, 2 * tep::kExternalSize);
+  EXPECT_EQ(machine.readByte(externalAddr), 0x5A);
+  EXPECT_EQ(machine.readByte(internalAddr), 0);
+  EXPECT_EQ(gLiveBytes.load(std::memory_order_relaxed) - before, externalSpill);
 }
 
 }  // namespace
