@@ -219,6 +219,19 @@ bool opKindFromName(const std::string& name, OpKind* out) {
   return false;
 }
 
+// ---------------------------------------------------------------- OpLog
+
+void OpLog::reserve(size_t n) {
+  while (blocks_.size() * kBlockOps < n) blocks_.emplace_back().reserve(kBlockOps);
+}
+
+void OpLog::push_back(const Op& op) {
+  const size_t block = size_ >> kBlockShift;
+  if (block == blocks_.size()) blocks_.emplace_back().reserve(kBlockOps);
+  blocks_[block].push_back(op);
+  ++size_;
+}
+
 // -------------------------------------------------------------- Journal
 
 Journal::Journal(JournalConfig config) : config_(config) {

@@ -33,9 +33,10 @@
 // Allocation contract (mirrors the telemetry plane): a disarmed fleet
 // does no journal work at all; an armed fleet appends to grow-only
 // vectors whose capacity is reserved up front (JournalConfig::reserve*),
-// only ever from the control thread between epochs. Steady state within
-// the reserves is allocation-free — the counting-operator-new test armed
-// with a journal holds the epoch loop to zero.
+// only ever from the control thread between epochs. The op stream grows in
+// fixed-size blocks (OpLog), so no append copies the log. Steady state
+// within the reserves is allocation-free — the counting-operator-new test
+// armed with a journal holds the epoch loop to zero.
 #pragma once
 
 #include <cstdint>
@@ -92,6 +93,59 @@ struct Op {
   int64_t a = 0;
   int64_t b = 0;
   int64_t c = 0;
+};
+
+/// The op stream, stored in fixed-size blocks so that an append never moves
+/// a recorded op. A single doubling vector copies the whole log each time
+/// it grows: one stall per doubling, as long as the log is large (about
+/// half a second at 16 M ops), landing in whichever epoch crosses the
+/// boundary. Here growing costs one block allocation per kBlockOps ops.
+class OpLog {
+ public:
+  static constexpr size_t kBlockShift = 16;
+  static constexpr size_t kBlockOps = size_t{1} << kBlockShift;
+
+  /// Index-based iterator; `Value` is Op or const Op.
+  template <typename Log, typename Value>
+  class Iterator {
+   public:
+    Iterator(Log* log, size_t index) : log_(log), index_(index) {}
+    Value& operator*() const { return (*log_)[index_]; }
+    Iterator& operator++() {
+      ++index_;
+      return *this;
+    }
+    bool operator==(const Iterator& other) const { return index_ == other.index_; }
+
+   private:
+    Log* log_;
+    size_t index_;
+  };
+  using iterator = Iterator<OpLog, Op>;
+  using const_iterator = Iterator<const OpLog, const Op>;
+
+  /// Allocates blocks for `n` ops up front: appends within them never
+  /// allocate.
+  void reserve(size_t n);
+  void push_back(const Op& op);
+
+  [[nodiscard]] size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  Op& operator[](size_t i) { return blocks_[i >> kBlockShift][i & (kBlockOps - 1)]; }
+  const Op& operator[](size_t i) const {
+    return blocks_[i >> kBlockShift][i & (kBlockOps - 1)];
+  }
+  Op& back() { return (*this)[size_ - 1]; }
+  [[nodiscard]] const Op& back() const { return (*this)[size_ - 1]; }
+
+  iterator begin() { return {this, 0}; }
+  iterator end() { return {this, size_}; }
+  [[nodiscard]] const_iterator begin() const { return {this, 0}; }
+  [[nodiscard]] const_iterator end() const { return {this, size_}; }
+
+ private:
+  std::vector<std::vector<Op>> blocks_;  ///< each with capacity kBlockOps
+  size_t size_ = 0;
 };
 
 /// Flat per-instance checkpoint entry; CR words live in a shared arena so
@@ -165,10 +219,10 @@ class Journal {
   void endCheckpoint();
 
   // --------------------------------------------------------------- access
-  [[nodiscard]] const std::vector<Op>& ops() const { return ops_; }
+  [[nodiscard]] const OpLog& ops() const { return ops_; }
   /// Mutable op access for corruption/fault-injection tooling (the bisect
   /// tests deliberately damage a journal through this).
-  [[nodiscard]] std::vector<Op>& mutableOps() { return ops_; }
+  [[nodiscard]] OpLog& mutableOps() { return ops_; }
   [[nodiscard]] uint64_t spanCount() const { return nextSpan_; }
 
   struct CheckpointView {
@@ -212,7 +266,7 @@ class Journal {
   std::string simdLevel_;
   std::string note_;
 
-  std::vector<Op> ops_;
+  OpLog ops_;
   uint64_t nextSpan_ = 0;
 
   // Checkpoint tables (flat, arena-backed — see header comment).

@@ -38,7 +38,7 @@ Replayer::Replayer(const Journal* journal, Fleet::ChartImagePtr image)
   // of one epoch are contiguous, grouped by ascending instance, so a
   // linear scan over adjacent ops finds every run.
   size_t run = 0;
-  const std::vector<Op>& ops = journal_->ops();
+  const OpLog& ops = journal_->ops();
   for (size_t i = 0; i < ops.size(); ++i) {
     if (ops[i].kind != OpKind::kInject) {
       run = 0;

@@ -58,12 +58,26 @@ TierCache::TierCache(const AsmProgram* program, const hwlib::ArchConfig* config,
   if (count_ > 0) slots_ = std::make_unique<Slot[]>(static_cast<size_t>(count_));
 }
 
+TierCache::Counters& TierCache::stripeOf(Slot& slot) {
+  static std::atomic<size_t> nextStripe{0};
+  thread_local const size_t stripe =
+      nextStripe.fetch_add(1, std::memory_order_relaxed) % kStripes;
+  return slot.stripes[stripe];
+}
+
+int64_t TierCache::sum(const Slot& slot, std::atomic<int64_t> Counters::*counter) {
+  int64_t total = 0;
+  for (const Counters& c : slot.stripes)
+    total += (c.*counter).load(std::memory_order_relaxed);
+  return total;
+}
+
 CompiledFn TierCache::dispatch(int transition, int entry, JitMode mode,
                                int64_t threshold) {
   if (mode == JitMode::kOff || !jitBackendAvailable()) return nullptr;
   if (transition < 0 || transition >= count_) return nullptr;
   Slot& slot = slots_[transition];
-  const int64_t execs = slot.execs.fetch_add(1, std::memory_order_relaxed) + 1;
+  stripeOf(slot).execs.fetch_add(1, std::memory_order_relaxed);
   const auto state = static_cast<RoutineState>(slot.state.load(std::memory_order_acquire));
   switch (state) {
     case RoutineState::kNative:
@@ -74,7 +88,8 @@ CompiledFn TierCache::dispatch(int transition, int entry, JitMode mode,
     case RoutineState::kNotCompiled:
       break;
   }
-  if (mode == JitMode::kAuto && execs < threshold) return nullptr;
+  // Only a cold routine reads the other threads' stripes.
+  if (mode == JitMode::kAuto && sum(slot, &Counters::execs) < threshold) return nullptr;
   if (compileSlot(slot, entry, nullptr)) {
     return slot.fn.load(std::memory_order_acquire);
   }
@@ -139,12 +154,12 @@ bool TierCache::compileSlot(Slot& slot, int entry, std::string* reason) {
 
 void TierCache::recordNativeRun(int transition) {
   if (transition < 0 || transition >= count_) return;
-  slots_[transition].nativeRuns.fetch_add(1, std::memory_order_relaxed);
+  stripeOf(slots_[transition]).nativeRuns.fetch_add(1, std::memory_order_relaxed);
 }
 
 void TierCache::recordInterpRun(int transition) {
   if (transition < 0 || transition >= count_) return;
-  slots_[transition].interpRuns.fetch_add(1, std::memory_order_relaxed);
+  stripeOf(slots_[transition]).interpRuns.fetch_add(1, std::memory_order_relaxed);
 }
 
 TierResidency TierCache::residency() const {
@@ -152,8 +167,8 @@ TierResidency TierCache::residency() const {
   r.compileMicros = compileMicros_.load(std::memory_order_relaxed);
   for (int i = 0; i < count_; ++i) {
     const Slot& slot = slots_[i];
-    r.nativeRuns += slot.nativeRuns.load(std::memory_order_relaxed);
-    r.interpRuns += slot.interpRuns.load(std::memory_order_relaxed);
+    r.nativeRuns += sum(slot, &Counters::nativeRuns);
+    r.interpRuns += sum(slot, &Counters::interpRuns);
     switch (static_cast<RoutineState>(slot.state.load(std::memory_order_acquire))) {
       case RoutineState::kNative:
         ++r.nativeRoutines;
@@ -163,7 +178,7 @@ TierResidency TierCache::residency() const {
         break;
       case RoutineState::kNotCompiled:
       case RoutineState::kCompiling:
-        if (slot.execs.load(std::memory_order_relaxed) > 0) ++r.interpretedRoutines;
+        if (sum(slot, &Counters::execs) > 0) ++r.interpretedRoutines;
         break;
     }
   }
@@ -178,7 +193,7 @@ RoutineState TierCache::stateOf(int transition) const {
 
 int64_t TierCache::execCount(int transition) const {
   if (transition < 0 || transition >= count_) return 0;
-  return slots_[transition].execs.load(std::memory_order_relaxed);
+  return sum(slots_[transition], &Counters::execs);
 }
 
 }  // namespace pscp::tep::jit

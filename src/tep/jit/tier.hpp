@@ -73,7 +73,10 @@ struct TierResidency {
 
 /// Per-image compile cache, keyed by transition id. Thread-safe: the hot
 /// path is one relaxed counter bump plus an acquire load; compilation is
-/// serialized behind a mutex and publishes with release ordering.
+/// serialized behind a mutex and publishes with release ordering. The
+/// counters are striped per thread: every worker bumps a cacheline of its
+/// own and readers sum the stripes, so workers stepping instances over one
+/// image never bounce a shared line between cores on each dispatch.
 class TierCache {
  public:
   TierCache(const AsmProgram* program, const hwlib::ArchConfig* config,
@@ -97,15 +100,23 @@ class TierCache {
   [[nodiscard]] int64_t execCount(int transition) const;
 
  private:
-  struct Slot {
-    std::atomic<uint8_t> state{static_cast<uint8_t>(RoutineState::kNotCompiled)};
+  static constexpr size_t kStripes = 8;
+  struct alignas(64) Counters {
     std::atomic<int64_t> execs{0};
     std::atomic<int64_t> nativeRuns{0};
     std::atomic<int64_t> interpRuns{0};
+  };
+  struct Slot {
+    std::atomic<uint8_t> state{static_cast<uint8_t>(RoutineState::kNotCompiled)};
     CodeBuf buf;
     std::atomic<CompiledFn> fn{nullptr};
+    Counters stripes[kStripes];
   };
 
+  /// The calling thread's stripe, fixed on its first dispatch.
+  static Counters& stripeOf(Slot& slot);
+  /// Sum of one counter over a slot's stripes.
+  static int64_t sum(const Slot& slot, std::atomic<int64_t> Counters::*counter);
   bool compileSlot(Slot& slot, int entry, std::string* reason);
 
   const AsmProgram* program_;

@@ -111,6 +111,35 @@ TEST(Journal, BinaryRoundTripPreservesEveryOpAndCheckpoint) {
   expectJournalsEqual(original, parsed);
 }
 
+TEST(Journal, OpLogAcrossBlocksKeepsOrderAndAddresses) {
+  OpLog log;
+  const size_t n = 2 * OpLog::kBlockOps + 3;
+  log.push_back({OpKind::kStep, -1, 0, 0, 0});
+  const Op* first = &log[0];
+  for (size_t i = 1; i < n; ++i)
+    log.push_back({OpKind::kInject, static_cast<int64_t>(i), 0, 0, 0});
+  ASSERT_EQ(log.size(), n);
+  EXPECT_EQ(&log[0], first) << "appending must never move a recorded op";
+  EXPECT_EQ(log.back().instance, static_cast<int64_t>(n - 1));
+  size_t i = 0;
+  for (Op& op : log) {
+    if (i > 0) EXPECT_EQ(op.instance, static_cast<int64_t>(i)) << "op " << i;
+    op.a = static_cast<int64_t>(i);
+    ++i;
+  }
+  EXPECT_EQ(i, n);
+  EXPECT_EQ(log[OpLog::kBlockOps].a, static_cast<int64_t>(OpLog::kBlockOps));
+
+  // A journal whose op stream spans blocks survives the binary framing.
+  Journal j;
+  for (size_t k = 0; k < OpLog::kBlockOps + 5; ++k)
+    j.recordInject(static_cast<int64_t>(k % 7), 2, static_cast<int64_t>(k));
+  Journal parsed;
+  std::string error;
+  ASSERT_TRUE(Journal::parseBinary(j.dumpBinary(), &parsed, &error)) << error;
+  expectJournalsEqual(j, parsed);
+}
+
 TEST(Journal, ReadFileSniffsBinaryAgainstJson) {
   const Journal original = makeSampleJournal();
   for (const bool binary : {false, true}) {

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fleet/fleet.hpp"
@@ -648,6 +649,37 @@ TEST(TepJitTier, AutoPromotesAtThresholdAlwaysCompilesFirstRun) {
   jit::TierCache off(&prog, &config, 1);
   EXPECT_EQ(off.dispatch(0, 0, jit::JitMode::kOff, 0), nullptr);
   EXPECT_EQ(off.stateOf(0), jit::RoutineState::kNotCompiled);
+}
+
+TEST(TepJitTier, CountersSumOverDispatchingThreads) {
+  SKIP_WITHOUT_BACKEND();
+  const auto prog = progOf({
+      {Opcode::LdaImm, 8, 1},
+      {Opcode::Tret, 8, 0},
+  });
+  const auto config = archPlain8();
+  jit::TierCache cache(&prog, &config, 1);
+  // More threads than stripes, so some of them share one.
+  constexpr int kThreads = 12;
+  constexpr int kRuns = 500;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&cache] {
+      for (int i = 0; i < kRuns; ++i) {
+        if (cache.dispatch(0, 0, jit::JitMode::kAuto, 100) != nullptr)
+          cache.recordNativeRun(0);
+        else
+          cache.recordInterpRun(0);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(cache.stateOf(0), jit::RoutineState::kNative);
+  EXPECT_EQ(cache.execCount(0), kThreads * kRuns);
+  const jit::TierResidency r = cache.residency();
+  EXPECT_EQ(r.nativeRuns + r.interpRuns, kThreads * kRuns);
+  EXPECT_GT(r.interpRuns, 0);  // the cold dispatches below the threshold
+  EXPECT_EQ(r.nativeRoutines, 1);
 }
 
 TEST(TepJitTier, RejectedRoutineStaysInterpreted) {
