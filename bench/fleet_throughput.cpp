@@ -8,7 +8,11 @@
 //
 // The main sweep runs the SoA/SIMD batched stepping path (the fleet
 // default); a per-instance-count single-thread AoS reference run measures
-// the batched SLA's layout win directly (soa_speedup_vs_aos). Flags:
+// the batched SLA's layout win directly (soa_speedup_vs_aos). The
+// native-tier A/B (--jit, on by default) steps the 1-TEP image, the gated
+// jit_speedup_vs_interp, and the paper's 2-TEP image, whose pulse pairs
+// run as native lanes of the lockstep loop (jit_speedup_vs_interp_2tep,
+// reported only). Flags:
 //   --quick          shrink the sweep for CI smoke runs
 //   --no-soa         run the main sweep through the scalar AoS path
 //   --batch-width N  lanes per batched decode group (FleetConfig)
@@ -177,11 +181,12 @@ SweepResult runSweep(const fleet::Fleet::ChartImagePtr& image, size_t instances,
   return r;
 }
 
-/// One arm of the JIT A/B: machine cycles per wall second over the
-/// single-TEP SMD image (every configuration cycle is serial-equivalent,
-/// so kAlways runs each routine natively). Two simulated cycles per
-/// epoch with a pulse pair injected every epoch keeps the duty cycle
-/// routine-dense — the tier being measured, not quiescent decode.
+/// One arm of the JIT A/B: machine cycles per wall second over an SMD
+/// image (1 TEP: every configuration cycle is serial; 2 TEPs: the pulse
+/// pair's routines are independent, so kAlways runs both natively as
+/// lanes of the lockstep loop). Two simulated cycles per epoch with a
+/// pulse pair injected every epoch keeps the duty cycle routine-dense —
+/// the tier being measured, not quiescent decode.
 double runJitArm(const fleet::Fleet::ChartImagePtr& image, size_t instances,
                  int epochs, tep::jit::JitMode mode, bool* ok,
                  JitReference* residencyOut) {
@@ -216,8 +221,8 @@ double runJitArm(const fleet::Fleet::ChartImagePtr& image, size_t instances,
     residencyOut->compileMs = static_cast<double>(tier.compileMicros) / 1000.0;
     if (tep::jit::jitBackendAvailable() &&
         metrics.value("fleet.jit_native_routines") <= 0) {
-      std::fprintf(stderr, "FAIL: jit arm i=%zu executed no native routines\n",
-                   instances);
+      std::fprintf(stderr, "FAIL: jit arm i=%zu teps=%d executed no native routines\n",
+                   instances, image->arch().numTeps);
       *ok = false;
     }
   }
@@ -313,26 +318,30 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Native-tier A/B: separate sweep over the single-TEP image so every
-  // configuration cycle is serial-equivalent and the kAlways arm runs
-  // each routine natively. Epoch count is its own knob — the arm's cost
-  // is per-routine wall time, not the main sweep's pool scaling.
+  // Native-tier A/B: separate sweeps over the single-TEP image (every
+  // configuration cycle serial, the gated arm) and the paper's 2-TEP image
+  // (pulse pairs as native lanes, reported only). Epoch count is its own
+  // knob — the arm's cost is per-routine wall time, not the main sweep's
+  // pool scaling.
   std::vector<JitReference> jitRefs;
+  std::vector<JitReference> jitRefs2Tep;
   if (opts.jit) {
-    const auto jitImage = workloads::makeSmdFleetImage(/*numTeps=*/1);
     const std::vector<size_t> jitInstances =
         opts.quick ? std::vector<size_t>{32} : std::vector<size_t>{64, 256};
     const int jitEpochs = opts.quick ? 200 : 400;
-    for (size_t instances : jitInstances) {
-      JitReference ref;
-      ref.instances = instances;
-      ref.interpMachRate = runJitArm(jitImage, instances, jitEpochs,
-                                     tep::jit::JitMode::kOff, &ok, nullptr);
-      ref.jitMachRate = runJitArm(jitImage, instances, jitEpochs,
-                                  tep::jit::JitMode::kAlways, &ok, &ref);
-      if (ref.interpMachRate > 0.0 && ref.jitMachRate > 0.0)
-        ref.jitSpeedup = ref.jitMachRate / ref.interpMachRate;
-      jitRefs.push_back(ref);
+    for (const int numTeps : {1, 2}) {
+      const auto jitImage = workloads::makeSmdFleetImage(numTeps);
+      for (size_t instances : jitInstances) {
+        JitReference ref;
+        ref.instances = instances;
+        ref.interpMachRate = runJitArm(jitImage, instances, jitEpochs,
+                                       tep::jit::JitMode::kOff, &ok, nullptr);
+        ref.jitMachRate = runJitArm(jitImage, instances, jitEpochs,
+                                    tep::jit::JitMode::kAlways, &ok, &ref);
+        if (ref.interpMachRate > 0.0 && ref.jitMachRate > 0.0)
+          ref.jitSpeedup = ref.jitMachRate / ref.interpMachRate;
+        (numTeps == 1 ? jitRefs : jitRefs2Tep).push_back(ref);
+      }
     }
   }
 
@@ -350,13 +359,14 @@ int main(int argc, char** argv) {
                   ref.configCyclesPerSec, ref.soaSpeedup);
   }
   if (!jitRefs.empty()) {
-    std::printf("\n| instances | interp mach/s | jit mach/s | jit speedup | compiled | compile ms |\n");
-    std::printf("|-----------|---------------|------------|-------------|----------|------------|\n");
-    for (const JitReference& ref : jitRefs)
-      std::printf("| %9zu | %13.0f | %10.0f | %10.2fx | %8lld | %10.2f |\n",
-                  ref.instances, ref.interpMachRate, ref.jitMachRate,
-                  ref.jitSpeedup, static_cast<long long>(ref.compiledRoutines),
-                  ref.compileMs);
+    std::printf("\n| TEPs | instances | interp mach/s | jit mach/s | jit speedup | compiled | compile ms |\n");
+    std::printf("|------|-----------|---------------|------------|-------------|----------|------------|\n");
+    for (const auto* refs : {&jitRefs, &jitRefs2Tep})
+      for (const JitReference& ref : *refs)
+        std::printf("| %4d | %9zu | %13.0f | %10.0f | %10.2fx | %8lld | %10.2f |\n",
+                    refs == &jitRefs ? 1 : 2, ref.instances, ref.interpMachRate,
+                    ref.jitMachRate, ref.jitSpeedup,
+                    static_cast<long long>(ref.compiledRoutines), ref.compileMs);
   }
 
   std::string json = "{\n  \"benchmark\": \"fleet_throughput\",\n";
@@ -390,19 +400,26 @@ int main(int argc, char** argv) {
         ref.instances, ref.configCyclesPerSec, ref.soaSpeedup,
         i + 1 < aosRefs.size() ? "," : "");
   }
-  json += "  ],\n  \"jit_reference\": [\n";
-  for (size_t i = 0; i < jitRefs.size(); ++i) {
-    const JitReference& ref = jitRefs[i];
-    json += strfmt(
-        "    {\"instances\": %zu, \"threads\": 1, "
-        "\"interp_machine_cycles_per_sec\": %.0f, "
-        "\"jit_machine_cycles_per_sec\": %.0f, "
-        "\"jit_speedup_vs_interp\": %.3f, \"jit_compiled_routines\": %lld, "
-        "\"jit_compile_ms\": %.3f}%s\n",
-        ref.instances, ref.interpMachRate, ref.jitMachRate, ref.jitSpeedup,
-        static_cast<long long>(ref.compiledRoutines), ref.compileMs,
-        i + 1 < jitRefs.size() ? "," : "");
-  }
+  // The 2-TEP arm has its own array and metric name, so the committed
+  // baseline (1-TEP) gates exactly what it did and the new arm reports.
+  const auto jitJson = [&](const char* array, const std::vector<JitReference>& refs,
+                           const char* suffix) {
+    json += strfmt("  ],\n  \"%s\": [\n", array);
+    for (size_t i = 0; i < refs.size(); ++i) {
+      const JitReference& ref = refs[i];
+      json += strfmt(
+          "    {\"instances\": %zu, \"threads\": 1, "
+          "\"interp_machine_cycles_per_sec\": %.0f, "
+          "\"jit_machine_cycles_per_sec\": %.0f, "
+          "\"jit_speedup_vs_interp%s\": %.3f, \"jit_compiled_routines\": %lld, "
+          "\"jit_compile_ms\": %.3f}%s\n",
+          ref.instances, ref.interpMachRate, ref.jitMachRate, suffix, ref.jitSpeedup,
+          static_cast<long long>(ref.compiledRoutines), ref.compileMs,
+          i + 1 < refs.size() ? "," : "");
+    }
+  };
+  jitJson("jit_reference", jitRefs, "");
+  if (!jitRefs2Tep.empty()) jitJson("jit_reference_2tep", jitRefs2Tep, "_2tep");
   json += "  ]\n}\n";
   std::FILE* f = std::fopen("BENCH_fleet_throughput.json", "wb");
   if (f != nullptr) {

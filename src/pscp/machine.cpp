@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <limits>
 #include <new>
 
+#include "analysis/effects.hpp"
 #include "pscp/sched_cost.hpp"
 #include "support/bits.hpp"
 
@@ -60,6 +62,27 @@ bool isPortOp(tep::Opcode op) {
   return op == tep::Opcode::Inp || op == tep::Opcode::Outp;
 }
 
+/// Guard of one configuration cycle, in lockstep machine cycles.
+constexpr int64_t kMaxMachineCycles = 4'000'000;
+
+/// Whether two resources of an effect summary can name the same storage:
+/// "g[i]" is one element of global g, a bare "g" (a global, or a port)
+/// stands for all of it.
+bool resourcesOverlap(const std::string& a, const std::string& b) {
+  if (a == b) return true;
+  const size_t ia = a.find('[');
+  const size_t ib = b.find('[');
+  if (ia != std::string::npos && ib != std::string::npos) return false;
+  return a.compare(0, ia, b, 0, ib) == 0;
+}
+
+bool anyOverlap(const std::set<std::string>& writes, const std::set<std::string>& touched) {
+  for (const std::string& w : writes)
+    for (const std::string& t : touched)
+      if (resourcesOverlap(w, t)) return true;
+  return false;
+}
+
 }  // namespace
 
 // -------------------------------------------------------------- ChartImage
@@ -112,9 +135,63 @@ ChartImage::ChartImage(const statechart::Chart& chart,
         app_.program.entryOf(app_.transitionRoutine.at(t.id)));
   }
   exclusionGroupCount_ = static_cast<int>(groupIds.size());
+  buildIndependence();
   tier_ = std::make_unique<tep::jit::TierCache>(
       &app_.program, &arch_, static_cast<int>(transitionCount));
   buildInstanceTemplate();
+}
+
+void ChartImage::buildIndependence() {
+  // What a routine shares with routines on other TEPs: external-RAM
+  // globals and ports. Internal RAM, registers and condition caches are
+  // per TEP; condition write-back and raised events are ordered by the
+  // scheduler. A routine whose summary is incomplete (an unresolved
+  // callee) may touch any global, so it is independent of nothing.
+  struct Shared {
+    bool known = true;
+    std::set<std::string> globalWrites, globals, portWrites, ports;
+  };
+  const auto external = [&](const std::string& resource) {
+    const auto it = app_.globalPlacement.find(resource.substr(0, resource.find('[')));
+    return it == app_.globalPlacement.end() ||
+           it->second.storageClass == compiler::kStorageExternal;
+  };
+  const size_t count = chart_.transitions().size();
+  std::vector<Shared> shared(count);
+  for (const statechart::Transition& t : chart_.transitions()) {
+    const analysis::EffectSet e = analysis::transitionEffects(t, actions_);
+    Shared& s = shared[static_cast<size_t>(t.id)];
+    s.known = e.astComplete;
+    for (const std::string& g : e.globalWrites)
+      if (external(g)) s.globalWrites.insert(g);
+    s.globals = s.globalWrites;
+    for (const std::string& g : e.globalReads)
+      if (external(g)) s.globals.insert(g);
+    for (const auto& [port, value] : e.portWrites) s.portWrites.insert(port);
+    s.ports = s.portWrites;
+    s.ports.insert(e.portReads.begin(), e.portReads.end());
+  }
+  // Whether `x` writes something `y` touches.
+  const auto clash = [](const Shared& x, const Shared& y) {
+    return anyOverlap(x.globalWrites, y.globals) || anyOverlap(x.portWrites, y.ports);
+  };
+  independentWords_ = (count + 63) / 64;
+  independent_.assign(count * independentWords_, 0);
+  for (size_t a = 0; a < count; ++a) {
+    for (size_t b = 0; b < count; ++b) {
+      const Shared& sa = shared[a];
+      const Shared& sb = shared[b];
+      if (sa.known && sb.known && !clash(sa, sb) && !clash(sb, sa))
+        independent_[a * independentWords_ + b / 64] |= uint64_t{1} << (b % 64);
+    }
+  }
+}
+
+bool ChartImage::independent(const std::vector<TransitionId>& transitions) const {
+  for (size_t i = 0; i < transitions.size(); ++i)
+    for (size_t j = i + 1; j < transitions.size(); ++j)
+      if (!independent(transitions[i], transitions[j])) return false;
+  return true;
 }
 
 void ChartImage::buildInstanceTemplate() {
@@ -413,6 +490,12 @@ uint32_t PscpMachine::readPort(int address) {
 
 void PscpMachine::writePort(int address, uint32_t value) {
   portRef(address) = value;
+  logPortWrite(address, value);
+}
+
+void PscpMachine::storePort(int address, uint32_t value) { portRef(address) = value; }
+
+void PscpMachine::logPortWrite(int address, uint32_t value) {
   const int64_t cycleIndex = configCycles_ > 0 ? configCycles_ - 1 : 0;
   const statechart::TransitionId running =
       currentTep_ >= 0 ? running_[static_cast<size_t>(currentTep_)] : -1;
@@ -700,120 +783,21 @@ void PscpMachine::configurationCycleIds(const std::vector<int>& externalEventIds
     std::memcpy(condCache_ + i * conditionCount, crConditions_, conditionCount);
   std::fill_n(condDirty_, teps_.size() * static_cast<size_t>(blob.dirtyWords), 0);
 
-  // 4. Execute the Transition Address Table. Serial-equivalent cycles (a
-  //    single TEP, or a single selected transition) with no observer take
-  //    the tiered path, which may run compiled routines natively;
-  //    everything else runs the TEPs in lockstep on the microcode
-  //    interpreter with bus arbitration. Both paths produce bit-identical
-  //    CR/port/cycle behaviour.
+  // 4. Execute the Transition Address Table. With no observer attached,
+  //    routines run natively when the tier cache has them compiled:
+  //    serial-equivalent cycles (a single TEP, or a single selected
+  //    transition) take the serial path; parallel cycles whose routines
+  //    are provably independent run them as native lanes of the lockstep
+  //    loop. Everything else runs the TEPs in lockstep on the microcode
+  //    interpreter. All paths produce bit-identical CR/port/cycle
+  //    behaviour.
+  const bool tiered = sink == nullptr && jitMode_ != tep::jit::JitMode::kOff &&
+                      tep::jit::jitBackendAvailable();
   int64_t cycles;
-  const bool serialEquivalent = teps_.size() == 1 || chosen.size() == 1;
-  if (sink == nullptr && serialEquivalent &&
-      jitMode_ != tep::jit::JitMode::kOff && tep::jit::jitBackendAvailable()) {
+  if (tiered && (teps_.size() == 1 || chosen.size() == 1))
     cycles = runTatSerial(chosen, stats, base);
-  } else {
-  // Dispatch from the Transition Address Table round-robin; mutual-
-  // exclusion groups are never in flight on two TEPs at once (the
-  // "additional decode logic" of Sec. 4).
-  std::vector<TransitionId>& table = tatScratch_;  // FIFO of pending transitions
-  table.assign(chosen.begin(), chosen.end());
-  TransitionId* const running = running_;
-  std::fill_n(running, teps_.size(), TransitionId{-1});
-  cycles = kSlaEvaluateCycles +
-           static_cast<int64_t>(teps_.size()) *
-               conditionCopyCycles(arch_, layout_.conditionCount());
-
-  auto tryDispatch = [&](size_t tepIndex) {
-    if (running[tepIndex] != -1 || table.empty()) return;
-    // Find the first pending transition whose exclusion group is free.
-    for (size_t j = 0; j < table.size(); ++j) {
-      const int group = image_->exclusionGroup_[static_cast<size_t>(table[j])];
-      if (group >= 0 && groupInFlight_[static_cast<size_t>(group)] != 0) continue;
-      const TransitionId t = table[j];
-      table.erase(table.begin() + static_cast<std::ptrdiff_t>(j));
-      running[tepIndex] = t;
-      if (group >= 0) groupInFlight_[static_cast<size_t>(group)] = 1;
-      teps_[tepIndex].startRoutine(image_->routineEntry_[static_cast<size_t>(t)]);
-      cycles += kDispatchCyclesPerTransition;
-      if (sink != nullptr) {
-        dispatchCycles_[tepIndex] = teps_[tepIndex].cyclesExecuted();
-        dispatchInstrs_[tepIndex] = teps_[tepIndex].instructionsExecuted();
-        dispatchStalls_[tepIndex] = teps_[tepIndex].stallCycles();
-        sink->onDispatch(static_cast<int>(tepIndex), t,
-                         static_cast<int>(table.size()), base + cycles);
-      }
-      break;
-    }
-  };
-
-  for (size_t i = 0; i < teps_.size(); ++i) tryDispatch(i);
-
-  const int64_t maxMachineCycles = 4'000'000;
-  int64_t guard = 0;
-  while (true) {
-    bool anyBusy = false;
-    for (size_t i = 0; i < teps_.size(); ++i)
-      if (teps_[i].busy()) anyBusy = true;
-    if (!anyBusy && table.empty()) break;
-
-    if (!anyBusy && !table.empty()) {
-      // All TEPs idle but exclusion groups blocked dispatch earlier: clear
-      // finished groups and retry.
-      for (size_t i = 0; i < teps_.size(); ++i) tryDispatch(i);
-      if (std::none_of(teps_.begin(), teps_.end(),
-                       [](const tep::Tep& t) { return t.busy(); }))
-        fail("PSCP scheduler deadlock (mutual-exclusion groups)");
-      continue;
-    }
-
-    // One machine cycle: every busy TEP advances one microinstruction;
-    // the external bus has a single owner per cycle (rotating priority).
-    busOwner_ = -1;
-    machineTimeNow_ = base + cycles;
-    for (size_t k = 0; k < teps_.size(); ++k) {
-      const size_t i = (static_cast<size_t>(cycles) + k) % teps_.size();
-      if (!teps_[i].busy()) continue;
-      currentTep_ = static_cast<int>(i);
-      teps_[i].stepCycle();
-      currentTep_ = -1;
-      if (!teps_[i].busy()) {
-        // Routine finished: write back this TEP's condition cache and free
-        // its exclusion group, then hand it the next transition.
-        const TransitionId done = running[i];
-        running[i] = -1;
-        if (sink != nullptr) {
-          std::vector<std::pair<int, bool>> writes;
-          const uint64_t* dirty = condDirty_ + i * static_cast<size_t>(blob.dirtyWords);
-          const uint8_t* cache = condCache_ + i * conditionCount;
-          for (int w = 0; w < blob.dirtyWords; ++w)
-            for (uint64_t bits = dirty[w]; bits != 0; bits &= bits - 1) {
-              const int c = w * 64 + std::countr_zero(bits);
-              writes.emplace_back(c, cache[c] != 0);
-            }
-          if (!writes.empty())
-            sink->onCondWriteBack(static_cast<int>(i), writes, base + cycles);
-        }
-        writeBackConditions(i);
-        const int doneGroup = image_->exclusionGroup_[static_cast<size_t>(done)];
-        if (doneGroup >= 0) groupInFlight_[static_cast<size_t>(doneGroup)] = 0;
-        cycles += conditionCopyCycles(arch_, layout_.conditionCount());
-        stats.fired.push_back(done);
-        if (sink != nullptr) {
-          obs::RoutineStats rs;
-          rs.cycles = teps_[i].cyclesExecuted() - dispatchCycles_[i];
-          rs.instructions = teps_[i].instructionsExecuted() - dispatchInstrs_[i];
-          rs.busStalls = teps_[i].stallCycles() - dispatchStalls_[i];
-          sink->onRetire(static_cast<int>(i), done, rs, base + cycles);
-        }
-        tryDispatch(i);
-      }
-    }
-    ++cycles;
-    if (++guard > maxMachineCycles)
-      fail("PSCP configuration cycle exceeded %lld machine cycles",
-           static_cast<long long>(maxMachineCycles));
-  }
-  }  // lockstep arm
+  else
+    cycles = runTatLockstep(chosen, stats, base, tiered);
 
   // 5. Configuration update: apply exits/enters of all fired transitions.
   //    applyActive keeps the packed CR state fields in sync incrementally.
@@ -838,6 +822,258 @@ void PscpMachine::configurationCycleIds(const std::vector<int>& externalEventIds
   }
 }
 
+// -------------------------------------------------------- lockstep lanes
+
+/// One TEP slot of the lockstep loop. An interpreted slot steps its Tep;
+/// a native slot ran its routine at dispatch and replays the recorded
+/// timeline: it needs the bus, writes ports, raises events, faults and
+/// retires at exactly the loop iteration where the interpreter would.
+struct PscpMachine::NativeLane {
+  static constexpr int64_t kNever = std::numeric_limits<int64_t>::max();
+
+  tep::jit::LaneTrace trace;
+  tep::jit::JitEnv env;
+  bool native = false;    ///< this slot's routine runs natively
+  size_t next = 0;        ///< next trace entry to replay
+  int64_t pos = 0;        ///< local cycles executed (stalls excluded)
+  int64_t busUntil = 0;   ///< local cycles before this one need the bus
+  int64_t length = 0;     ///< local cycles to retire (kNever: never)
+  int64_t faultAt = -1;   ///< local cycle that throws env.error
+
+  /// Cycles from `pos` on that need nothing of the machine: no bus, no
+  /// trace entry, no fault, no retire.
+  [[nodiscard]] int64_t quietCycles() const {
+    if (pos < busUntil) return 0;
+    int64_t until = length == kNever ? kNever : length - 1;
+    if (next < trace.entries.size()) until = std::min(until, trace.entries[next].at);
+    if (faultAt >= 0) until = std::min(until, faultAt);
+    return until - pos;
+  }
+};
+
+std::vector<PscpMachine::NativeLane>& PscpMachine::laneScratch(size_t teps) {
+  // Per thread, never per instance: a worker steps one machine at a time,
+  // and the traces keep their capacity from cycle to cycle.
+  thread_local std::vector<NativeLane> lanes;
+  if (lanes.size() < teps) {
+    lanes.resize(teps);
+    for (NativeLane& lane : lanes) lane.trace.entries.reserve(64);
+  }
+  return lanes;
+}
+
+bool PscpMachine::startNativeLane(NativeLane& lane, size_t tep, TransitionId t,
+                                  int64_t reach) {
+  namespace jit = tep::jit;
+  jit::TierCache& tier = image_->tierCache();
+  const jit::CompiledFn fn =
+      tier.dispatch(t, image_->routineEntry_[static_cast<size_t>(t)], jitMode_,
+                    jitThreshold_);
+  if (fn == nullptr) return false;
+  tep::Tep& core = teps_[tep];
+  lane.trace.reset();
+  lane.env.host = this;
+  lane.env.config = &arch_;
+  lane.env.tepId = core.id();
+  lane.env.programSize = image_->app_.program.code.size();
+  lane.env.budgetLimit = kMaxMachineCycles;
+  lane.env.error.clear();
+  jit::JitContext ctx;
+  ctx.acc = core.acc();
+  ctx.op = core.op();
+  ctx.flagZ = core.flagZ() ? 1 : 0;
+  ctx.flagN = core.flagN() ? 1 : 0;
+  ctx.flagC = core.flagC() ? 1 : 0;
+  // Past `reach` local cycles the loop's guard trips first, so the run
+  // may stop there (as a budget error) without losing anything.
+  ctx.cycleBudget = reach + 1;
+  ctx.env = &lane.env;
+  ctx.trace = &lane.trace;
+  currentTep_ = static_cast<int>(tep);  // the TEP's own banks and cache
+  const int32_t status = fn(&ctx);
+  currentTep_ = -1;
+  core.setArchState(ctx.acc, ctx.op, ctx.flagZ != 0, ctx.flagN != 0, ctx.flagC != 0);
+  lane.next = 0;
+  lane.pos = 0;
+  lane.busUntil = 0;
+  lane.length = ctx.cycles;
+  lane.faultAt = -1;
+  if (status != 0) {
+    const int64_t at = lane.trace.faultCycle(ctx.cycles);
+    lane.length = NativeLane::kNever;
+    if (at <= reach) lane.faultAt = at;
+  }
+  tier.recordNativeRun(t);
+  ++jitNativeRuns_;
+  return true;
+}
+
+bool PscpMachine::stepNativeLane(NativeLane& lane, size_t tep) {
+  using Kind = tep::jit::LaneTrace::Kind;
+  const std::vector<tep::jit::LaneTrace::Entry>& entries = lane.trace.entries;
+  for (; lane.next < entries.size() && entries[lane.next].at == lane.pos &&
+         entries[lane.next].kind == Kind::kBus;
+       ++lane.next)
+    lane.busUntil = std::max(lane.busUntil, lane.pos + entries[lane.next].arg);
+  if (lane.pos < lane.busUntil && !acquireExternalBus(static_cast<int>(tep)))
+    return false;  // arbitration lost: retry next cycle
+  for (; lane.next < entries.size() && entries[lane.next].at == lane.pos; ++lane.next) {
+    const tep::jit::LaneTrace::Entry& e = entries[lane.next];
+    if (e.kind == Kind::kPortWrite)
+      logPortWrite(e.arg, e.value);
+    else if (e.kind == Kind::kRaise)
+      raiseEvent(e.arg);
+  }
+  if (lane.pos == lane.faultAt) throw Error(lane.env.error);
+  return ++lane.pos == lane.length;
+}
+
+int64_t PscpMachine::runTatLockstep(const std::vector<TransitionId>& chosen,
+                                    CycleStats& stats, int64_t base, bool tiered) {
+  obs::ObsSink* const sink = obs_.sink;
+  const bool nativeLanes = tiered && image_->independent(chosen);
+  const ChartImage::BlobLayout& blob = image_->blob_;
+  const auto conditionCount = static_cast<size_t>(blob.conditionCount);
+  const size_t tepCount = teps_.size();
+  const int64_t condCopy = conditionCopyCycles(arch_, layout_.conditionCount());
+  std::vector<NativeLane>& lanes = laneScratch(tepCount);
+  int64_t guard = 0;  // stepped machine cycles
+
+  // Dispatch from the Transition Address Table round-robin; mutual-
+  // exclusion groups are never in flight on two TEPs at once (the
+  // "additional decode logic" of Sec. 4).
+  std::vector<TransitionId>& table = tatScratch_;  // FIFO of pending transitions
+  table.assign(chosen.begin(), chosen.end());
+  TransitionId* const running = running_;  // -1 = TEP idle
+  std::fill_n(running, tepCount, TransitionId{-1});
+  int64_t cycles = kSlaEvaluateCycles + static_cast<int64_t>(tepCount) * condCopy;
+
+  auto tryDispatch = [&](size_t tepIndex) {
+    if (running[tepIndex] != -1 || table.empty()) return;
+    // Find the first pending transition whose exclusion group is free.
+    for (size_t j = 0; j < table.size(); ++j) {
+      const int group = image_->exclusionGroup_[static_cast<size_t>(table[j])];
+      if (group >= 0 && groupInFlight_[static_cast<size_t>(group)] != 0) continue;
+      const TransitionId t = table[j];
+      table.erase(table.begin() + static_cast<std::ptrdiff_t>(j));
+      running[tepIndex] = t;
+      if (group >= 0) groupInFlight_[static_cast<size_t>(group)] = 1;
+      NativeLane& lane = lanes[tepIndex];
+      lane.native = nativeLanes &&
+                    startNativeLane(lane, tepIndex, t, kMaxMachineCycles - guard);
+      if (!lane.native) {
+        teps_[tepIndex].startRoutine(image_->routineEntry_[static_cast<size_t>(t)]);
+        if (tiered) {
+          image_->tierCache().recordInterpRun(t);
+          ++jitInterpRuns_;
+        }
+      }
+      cycles += kDispatchCyclesPerTransition;
+      if (sink != nullptr) {
+        dispatchCycles_[tepIndex] = teps_[tepIndex].cyclesExecuted();
+        dispatchInstrs_[tepIndex] = teps_[tepIndex].instructionsExecuted();
+        dispatchStalls_[tepIndex] = teps_[tepIndex].stallCycles();
+        sink->onDispatch(static_cast<int>(tepIndex), t,
+                         static_cast<int>(table.size()), base + cycles);
+      }
+      break;
+    }
+  };
+
+  for (size_t i = 0; i < tepCount; ++i) tryDispatch(i);
+
+  while (true) {
+    bool anyBusy = false;
+    bool allNative = true;
+    for (size_t i = 0; i < tepCount; ++i) {
+      if (running[i] == -1) continue;
+      anyBusy = true;
+      allNative = allNative && lanes[i].native;
+    }
+    if (!anyBusy && table.empty()) break;
+
+    if (!anyBusy && !table.empty()) {
+      // All TEPs idle but exclusion groups blocked dispatch earlier: clear
+      // finished groups and retry.
+      for (size_t i = 0; i < tepCount; ++i) tryDispatch(i);
+      if (std::all_of(running, running + tepCount,
+                      [](TransitionId t) { return t == -1; }))
+        fail("PSCP scheduler deadlock (mutual-exclusion groups)");
+      continue;
+    }
+
+    if (allNative) {
+      // Fast-forward over cycles in which no lane needs the bus, touches
+      // the machine or retires: each would only advance every lane by one.
+      int64_t skip = kMaxMachineCycles - guard;
+      for (size_t i = 0; i < tepCount; ++i)
+        if (running[i] != -1) skip = std::min(skip, lanes[i].quietCycles());
+      if (skip > 0) {
+        for (size_t i = 0; i < tepCount; ++i)
+          if (running[i] != -1) lanes[i].pos += skip;
+        cycles += skip;
+        guard += skip;
+      }
+    }
+
+    // One machine cycle: every busy TEP advances one microinstruction;
+    // the external bus has a single owner per cycle (rotating priority).
+    // A retire charges the condition write-back inside this loop, which
+    // shifts the rotation for the TEPs after it (see DESIGN.md).
+    busOwner_ = -1;
+    machineTimeNow_ = base + cycles;
+    for (size_t k = 0; k < tepCount; ++k) {
+      const size_t i = (static_cast<size_t>(cycles) + k) % tepCount;
+      if (running[i] == -1) continue;
+      currentTep_ = static_cast<int>(i);
+      bool retired;
+      if (lanes[i].native) {
+        retired = stepNativeLane(lanes[i], i);
+      } else {
+        teps_[i].stepCycle();
+        retired = !teps_[i].busy();
+      }
+      currentTep_ = -1;
+      if (retired) {
+        // Routine finished: write back this TEP's condition cache and free
+        // its exclusion group, then hand it the next transition.
+        const TransitionId done = running[i];
+        running[i] = -1;
+        if (sink != nullptr) {
+          std::vector<std::pair<int, bool>> writes;
+          const uint64_t* dirty = condDirty_ + i * static_cast<size_t>(blob.dirtyWords);
+          const uint8_t* cache = condCache_ + i * conditionCount;
+          for (int w = 0; w < blob.dirtyWords; ++w)
+            for (uint64_t bits = dirty[w]; bits != 0; bits &= bits - 1) {
+              const int c = w * 64 + std::countr_zero(bits);
+              writes.emplace_back(c, cache[c] != 0);
+            }
+          if (!writes.empty())
+            sink->onCondWriteBack(static_cast<int>(i), writes, base + cycles);
+        }
+        writeBackConditions(i);
+        const int doneGroup = image_->exclusionGroup_[static_cast<size_t>(done)];
+        if (doneGroup >= 0) groupInFlight_[static_cast<size_t>(doneGroup)] = 0;
+        cycles += condCopy;
+        stats.fired.push_back(done);
+        if (sink != nullptr) {
+          obs::RoutineStats rs;
+          rs.cycles = teps_[i].cyclesExecuted() - dispatchCycles_[i];
+          rs.instructions = teps_[i].instructionsExecuted() - dispatchInstrs_[i];
+          rs.busStalls = teps_[i].stallCycles() - dispatchStalls_[i];
+          sink->onRetire(static_cast<int>(i), done, rs, base + cycles);
+        }
+        tryDispatch(i);
+      }
+    }
+    ++cycles;
+    if (++guard > kMaxMachineCycles)
+      fail("PSCP configuration cycle exceeded %lld machine cycles",
+           static_cast<long long>(kMaxMachineCycles));
+  }
+  return cycles;
+}
+
 int64_t PscpMachine::runTatSerial(const std::vector<TransitionId>& chosen,
                                   CycleStats& stats, int64_t base) {
   // Serial twin of the lockstep loop for cycles where at most one routine
@@ -854,7 +1090,6 @@ int64_t PscpMachine::runTatSerial(const std::vector<TransitionId>& chosen,
   const int64_t condCopy = conditionCopyCycles(arch_, layout_.conditionCount());
   int64_t cycles = kSlaEvaluateCycles +
                    static_cast<int64_t>(teps_.size()) * condCopy;
-  const int64_t maxMachineCycles = 4'000'000;
   int64_t stepped = 0;  // the lockstep guard counts stepped cycles only
   std::fill_n(running_, teps_.size(), TransitionId{-1});
 
@@ -870,7 +1105,7 @@ int64_t PscpMachine::runTatSerial(const std::vector<TransitionId>& chosen,
       env.config = &arch_;
       env.tepId = core.id();
       env.programSize = image_->app_.program.code.size();
-      env.budgetLimit = maxMachineCycles;
+      env.budgetLimit = kMaxMachineCycles;
       jit::JitContext ctx;
       ctx.acc = core.acc();
       ctx.op = core.op();
@@ -881,7 +1116,7 @@ int64_t PscpMachine::runTatSerial(const std::vector<TransitionId>& chosen,
       // The interpreter's guard spans the whole configuration cycle but
       // excludes scheduler overhead; express it as an absolute ceiling on
       // the running cycle counter.
-      ctx.cycleBudget = (cycles - stepped) + maxMachineCycles;
+      ctx.cycleBudget = (cycles - stepped) + kMaxMachineCycles;
       ctx.timeBase = base;
       ctx.machineTime = &machineTimeNow_;
       ctx.env = &env;
@@ -905,9 +1140,9 @@ int64_t PscpMachine::runTatSerial(const std::vector<TransitionId>& chosen,
         machineTimeNow_ = base + cycles;
         core.stepCycle();
         ++cycles;
-        if (++stepped > maxMachineCycles)
+        if (++stepped > kMaxMachineCycles)
           fail("PSCP configuration cycle exceeded %lld machine cycles",
-               static_cast<long long>(maxMachineCycles));
+               static_cast<long long>(kMaxMachineCycles));
       }
       tier.recordInterpRun(t);
       ++jitInterpRuns_;

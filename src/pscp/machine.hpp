@@ -138,6 +138,21 @@ class ChartImage {
   /// by every TEP of every instance over the image.
   [[nodiscard]] const tep::MicrocodeTable& microcode() const { return microcode_; }
 
+  /// True when the routines of transitions `a` and `b` are provably
+  /// independent: neither touches an external-RAM global element or a port
+  /// that the other writes (from the transitions' effect summaries; a bare
+  /// global name stands for every element of that global). Routines with an
+  /// incomplete summary are independent of nothing. Condition writes and
+  /// event raises need no proof: the lockstep scheduler performs them in
+  /// order whatever tier runs the routine.
+  [[nodiscard]] bool independent(int a, int b) const {
+    const auto row = static_cast<size_t>(a) * independentWords_;
+    return ((independent_[row + static_cast<size_t>(b) / 64] >> (b % 64)) & 1) != 0;
+  }
+  /// True when every pair of `transitions` is independent.
+  [[nodiscard]] bool independent(
+      const std::vector<statechart::TransitionId>& transitions) const;
+
  private:
   friend class PscpMachine;
 
@@ -164,6 +179,7 @@ class ChartImage {
     size_t bytes = 0;
   };
   void buildInstanceTemplate();
+  void buildIndependence();
 
   const statechart::Chart& chart_;
   const actionlang::Program& actions_;
@@ -182,6 +198,9 @@ class ChartImage {
   std::vector<int> exclusionGroup_;  ///< interned group id, -1 = none
   std::vector<int> routineEntry_;    ///< program entry index of t's routine
   int exclusionGroupCount_ = 0;
+  /// Pairwise independence, a bit matrix over transitions (row a, bit b).
+  std::vector<uint64_t> independent_;
+  size_t independentWords_ = 0;
   std::unique_ptr<tep::jit::TierCache> tier_;
   tep::MicrocodeTable microcode_;
 
@@ -252,11 +271,12 @@ class PscpMachine : public tep::TepHost {
   void applyQuiescentCycle(CycleStats* stats);
 
   // ----------------------------------------------------- tiered execution
-  // The native tier (src/tep/jit) runs compiled routines when the cycle is
-  // serial-equivalent (one TEP, or one selected transition) and no
-  // observer is attached; everything else stays on the microcode
-  // interpreter. Contract: CR, ports, fired order, cycle counts and error
-  // diagnostics are bit-identical between tiers (tests/tep_jit_test.cpp).
+  // The native tier (src/tep/jit) runs compiled routines unless an
+  // observer is attached or the cycle's routines are not provably
+  // independent (ChartImage::independent); those cycles stay on the
+  // microcode interpreter. Contract: CR, ports, fired order, cycle counts
+  // and error diagnostics are bit-identical between tiers
+  // (tests/tep_jit_test.cpp).
 
   /// Override the process-wide PSCP_JIT mode for this instance.
   void setJitMode(tep::jit::JitMode mode) { jitMode_ = mode; }
@@ -347,6 +367,7 @@ class PscpMachine : public tep::TepHost {
   void writeReg(int index, uint32_t value) override;
   uint32_t readPort(int address) override;
   void writePort(int address, uint32_t value) override;
+  void storePort(int address, uint32_t value) override;
   void raiseEvent(int index) override;
   void setCondition(int index, bool value) override;
   bool testCondition(int index) override;
@@ -380,6 +401,26 @@ class PscpMachine : public tep::TepHost {
   /// lockstep loop).
   int64_t runTatSerial(const std::vector<statechart::TransitionId>& chosen,
                        CycleStats& stats, int64_t base);
+  /// Execute the Transition Address Table on all TEPs in lockstep with bus
+  /// arbitration; returns the cycle count. Each TEP slot is a lane: an
+  /// interpreted Tep, or — when `tiered` and the chosen routines are
+  /// independent — a routine run natively at dispatch whose recorded
+  /// timeline the loop replays cycle by cycle.
+  int64_t runTatLockstep(const std::vector<statechart::TransitionId>& chosen,
+                         CycleStats& stats, int64_t base, bool tiered);
+  /// Per-thread lane scratch of the lockstep loop (defined in the .cpp).
+  struct NativeLane;
+  static std::vector<NativeLane>& laneScratch(size_t teps);
+  /// Run transition `t`'s routine natively on TEP `tep` into `lane`, if the
+  /// tier cache has (or now compiles) it. `reach` is how many more cycles
+  /// the lane can run before the configuration-cycle guard trips.
+  bool startNativeLane(NativeLane& lane, size_t tep, statechart::TransitionId t,
+                       int64_t reach);
+  /// One lockstep cycle of a native lane; true when its routine retires.
+  bool stepNativeLane(NativeLane& lane, size_t tep);
+  /// Append a port write to the log (and the observer), stamped with the
+  /// current machine time, TEP and routine.
+  void logPortWrite(int address, uint32_t value);
 
   std::shared_ptr<const ChartImage> image_;
   // Aliases into the image, so the cycle logic reads image data with the

@@ -198,12 +198,21 @@ void Lowerer::lowerInstr(int i, const Instr& in) {
   const uint32_t mask = maskBits(w);
   const int bytes = (w + 7) / 8;
   const int chunks = config.chunksFor(w);
-  const int32_t memPack = bytes | (chunks << 8);
+  const std::vector<MicroInstr> micro = microcodeFor(in, config);
+  const int staticCost = static_cast<int>(micro.size());
+  // Cycles from the first data micro-op to the end of the static cost
+  // (traced native runs place the access's bus cycles with it).
+  const auto firstData = std::find_if(micro.begin(), micro.end(), [](const MicroInstr& mi) {
+    return mi.op == MicroOp::MemRead || mi.op == MicroOp::MemWrite;
+  });
+  const int dataOffset = static_cast<int>(micro.end() - firstData);
+  PSCP_ASSERT(dataOffset < 256);
+  const int32_t memPack = bytes | (chunks << 8) | (dataOffset << 16);
 
   // Static microprogram cost, charged up front (the anchor op).
   IrInst cost;
   cost.op = IrOp::kAddCycles;
-  cost.imm = cyclesFor(in, config);
+  cost.imm = staticCost;
   cost.isa = i;
   push(cost);
 
@@ -387,6 +396,7 @@ void Lowerer::lowerInstr(int i, const Instr& in) {
     case Opcode::EvSet: {
       IrInst n = mk(IrOp::kEvSet);
       n.imm = in.operand;
+      n.imm2 = -1;  // EvSet is the last state of its microprogram
       push(n);
       break;
     }

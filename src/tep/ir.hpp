@@ -59,9 +59,11 @@ enum class IrOp : uint8_t {
   kShl, kShr, kSar,  ///< shift by imm (& 31); interpreter semantics
 
   // Data memory. imm = static byte address (kLoad/kStore) — dynamic forms
-  // take it from src1. imm2 packs totalBytes | chunks<<8; the executor
-  // charges `chunks` wait cycles when the base address is external and
-  // surfaces unmapped-address errors exactly like the interpreter.
+  // take it from src1. imm2 packs totalBytes | chunks<<8 | dataOffset<<16
+  // (cycles from the first data micro-op to the end of the instruction's
+  // static cost); the executor charges `chunks` wait cycles when the base
+  // address is external and surfaces unmapped-address errors exactly like
+  // the interpreter.
   kLoad,     ///< dst = mem[imm ..] & mask(width)
   kStore,    ///< mem[imm ..] = src1 & mask(width)
   kLoadAt,   ///< dst = mem[src1 ..] & mask(width)
@@ -72,7 +74,7 @@ enum class IrOp : uint8_t {
   kRegSet,     ///< writeReg(imm, src1 & mask(width))
   kPortRead,   ///< dst = readPort(imm) — unmasked, like the interpreter
   kPortWrite,  ///< writePort(imm, src1 & mask); imm2 = micro-op time skew
-  kEvSet,      ///< raiseEvent(imm)
+  kEvSet,      ///< raiseEvent(imm); imm2 = micro-op time skew
   kCondSet,    ///< setCondition(imm, imm2 != 0)
   kCondTest,   ///< dst = testCondition(imm) ? 1 : 0; Z = !value
   kStateTest,  ///< dst = testState(imm) ? 1 : 0; Z = !value

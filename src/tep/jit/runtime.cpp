@@ -27,32 +27,51 @@ int32_t guarded(JitContext* ctx, Fn&& body) noexcept {
   }
 }
 
+/// One data-memory access: the byte transfers in order, then the wait
+/// states. External accesses pay one wait state per chunk micro-op;
+/// externality is decided by the base address, like needsExternalBus(mar).
+/// A traced run also records the access's bus cycles (wait state and
+/// transfer of every chunk) and, on a fault, the cycle of the failing
+/// chunk's data micro-op, where the interpreter raises it.
+template <typename Fn>
+int32_t memoryAccess(JitContext* ctx, int32_t addr, int32_t packed,
+                     Fn&& transferByte) noexcept {
+  const int bytes = packed & 0xFF;
+  const int chunks = (packed >> 8) & 0xFF;
+  const int64_t firstData = ctx->cycles - ((packed >> 16) & 0xFF);
+  const bool external = isExternalAddress(addr);
+  LaneTrace* const trace = ctx->trace;
+  int i = 0;
+  const int32_t status = guarded(ctx, [&](JitEnv* env) {
+    if (trace != nullptr && external)
+      trace->entries.push_back({firstData, LaneTrace::Kind::kBus, 2 * chunks, 0});
+    for (; i < bytes; ++i) transferByte(env, i);
+    if (external) ctx->cycles += chunks;
+  });
+  if (status != 0 && trace != nullptr) {
+    const int64_t chunk = i / ctx->env->config->bytesPerWord();
+    trace->faultAt = external ? firstData + 2 * chunk + 1 : firstData + chunk;
+  }
+  return status;
+}
+
 }  // namespace
 
 extern "C" {
 
 int32_t pscpJitLoad(JitContext* ctx, int32_t addr, int32_t packed) noexcept {
-  return guarded(ctx, [&](JitEnv* env) {
-    const int bytes = packed & 0xFF;
-    const int chunks = (packed >> 8) & 0xFF;
-    uint32_t v = 0;
-    for (int i = 0; i < bytes; ++i)
-      v |= static_cast<uint32_t>(env->host->readByte(addr + i)) << (8 * i);
-    // External accesses pay one wait state per chunk micro-op; externality
-    // is decided by the base address, like needsExternalBus(mar).
-    if (isExternalAddress(addr)) ctx->cycles += chunks;
-    ctx->hvalue = v;
+  uint32_t v = 0;
+  const int32_t status = memoryAccess(ctx, addr, packed, [&](JitEnv* env, int i) {
+    v |= static_cast<uint32_t>(env->host->readByte(addr + i)) << (8 * i);
   });
+  ctx->hvalue = v;
+  return status;
 }
 
 int32_t pscpJitStore(JitContext* ctx, int32_t addr, uint32_t value,
                      int32_t packed) noexcept {
-  return guarded(ctx, [&](JitEnv* env) {
-    const int bytes = packed & 0xFF;
-    const int chunks = (packed >> 8) & 0xFF;
-    for (int i = 0; i < bytes; ++i)
-      env->host->writeByte(addr + i, static_cast<uint8_t>((value >> (8 * i)) & 0xFF));
-    if (isExternalAddress(addr)) ctx->cycles += chunks;
+  return memoryAccess(ctx, addr, packed, [&](JitEnv* env, int i) {
+    env->host->writeByte(addr + i, static_cast<uint8_t>((value >> (8 * i)) & 0xFF));
   });
 }
 
@@ -71,18 +90,36 @@ int32_t pscpJitPortRead(JitContext* ctx, int32_t port) noexcept {
 int32_t pscpJitPortWrite(JitContext* ctx, int32_t port, uint32_t value,
                          int32_t timeSkew) noexcept {
   return guarded(ctx, [&](JitEnv* env) {
+    // The PortWrite micro-op runs `timeSkew` cycles from the running total
+    // (the instruction's full cost is already charged, hence negative).
+    if (ctx->trace != nullptr) {
+      // Store now, so the routine reads its own write back; the embedder
+      // logs the write at its cycle.
+      env->host->storePort(port, value);
+      ctx->trace->entries.push_back(
+          {ctx->cycles + timeSkew, LaneTrace::Kind::kPortWrite, port, value});
+      return;
+    }
     // The embedder's machine clock must read exactly as it would at the
-    // PortWrite micro-op (the instruction's full cost is already charged,
-    // hence the negative skew) so logged port writes carry identical
-    // timestamps in both tiers.
+    // micro-op so logged port writes carry identical timestamps in both
+    // tiers.
     if (ctx->machineTime != nullptr)
       *ctx->machineTime = ctx->timeBase + ctx->cycles + timeSkew;
     env->host->writePort(port, value);
   });
 }
 
-int32_t pscpJitEvSet(JitContext* ctx, int32_t index) noexcept {
-  return guarded(ctx, [&](JitEnv* env) { env->host->raiseEvent(index); });
+int32_t pscpJitEvSet(JitContext* ctx, int32_t index, int32_t timeSkew) noexcept {
+  return guarded(ctx, [&](JitEnv* env) {
+    if (ctx->trace != nullptr) {
+      // Pending-event order is machine-wide: the embedder raises it at
+      // its cycle.
+      ctx->trace->entries.push_back(
+          {ctx->cycles + timeSkew, LaneTrace::Kind::kRaise, index, 0});
+      return;
+    }
+    env->host->raiseEvent(index);
+  });
 }
 
 int32_t pscpJitCondSet(JitContext* ctx, int32_t index, int32_t value) noexcept {

@@ -9,11 +9,17 @@
 // code checks the status and exits through its error epilogue, after
 // which the embedder rethrows the stored message. Interpreter and native
 // tier therefore fail with byte-identical diagnostics.
+//
+// Traced runs: with JitContext::trace set, a run also records its timeline
+// (LaneTrace) so an embedder that steps several TEPs in lockstep can run a
+// routine ahead of time and replay, cycle by cycle, what the interpreter
+// would have done on the shared machine.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "hwlib/arch_config.hpp"
 #include "tep/machine.hpp"
@@ -29,6 +35,41 @@ struct JitEnv {
   size_t programSize = 0;
   int64_t budgetLimit = 0;  ///< configuration-cycle guard (machine cycles)
   std::string error;        ///< helper-captured diagnostic
+};
+
+/// The timeline of one traced routine run, in routine-local cycles: cycle 0
+/// is the routine's first micro-cycle and bus stalls are not counted (the
+/// replay adds them). A traced run performs its private effects at once
+/// (TEP-local memory and registers, condition cache, port stores) and
+/// leaves to the embedder only what other TEPs can observe or contend for.
+struct LaneTrace {
+  enum class Kind : uint8_t {
+    kBus,        ///< `arg` consecutive cycles that must win the external bus
+    kPortWrite,  ///< port `arg` written with `value` (logged at this cycle)
+    kRaise,      ///< event `arg` raised
+  };
+  struct Entry {
+    int64_t at = 0;  ///< local cycle
+    Kind kind = Kind::kBus;
+    int32_t arg = 0;
+    uint32_t value = 0;
+
+    [[nodiscard]] bool operator==(const Entry&) const = default;
+  };
+  std::vector<Entry> entries;  ///< ascending `at`
+  /// Local cycle of a fault a memory helper placed; -1 otherwise.
+  int64_t faultAt = -1;
+
+  void reset() {
+    entries.clear();
+    faultAt = -1;
+  }
+  /// Local cycle of the fault of a run that returned an error with
+  /// `cyclesAtExit` in JitContext::cycles: where a memory helper placed
+  /// it, else the last cycle of the instruction that raised it.
+  [[nodiscard]] int64_t faultCycle(int64_t cyclesAtExit) const {
+    return faultAt >= 0 ? faultAt : cyclesAtExit - 1;
+  }
 };
 
 /// The block emitted code addresses with fixed offsets (asserted below).
@@ -49,6 +90,7 @@ struct JitContext {
   int32_t callDepth = 0;     // +56
   int32_t pad1 = 0;          // +60
   uint64_t callStack[32] = {};  // +64  native return addresses
+  LaneTrace* trace = nullptr;  // +320 timeline to record (helpers only)
 };
 
 inline constexpr int32_t kCtxAcc = 0;
@@ -81,9 +123,12 @@ using CompiledFn = int32_t (*)(JitContext*);
 //
 // SysV x86-64: ctx in rdi, scalar args in esi/edx/ecx/r8d. Status in eax
 // (0 ok); value results land in ctx->hvalue. `packed` for memory ops is
-// totalBytes | chunks<<8 — chunks wait cycles are charged onto
-// ctx->cycles when the base address is external, exactly the
-// interpreter's per-chunk wait states.
+// totalBytes | chunks<<8 | dataOffset<<16 — chunks wait cycles are charged
+// onto ctx->cycles when the base address is external, exactly the
+// interpreter's per-chunk wait states; dataOffset is how many cycles
+// before the end of the instruction's static cost its first data micro-op
+// runs (traced runs place bus cycles and faults with it). `timeSkew` is
+// the same kind of offset for the single-cycle port write and event raise.
 
 extern "C" {
 int32_t pscpJitLoad(JitContext* ctx, int32_t addr, int32_t packed) noexcept;
@@ -94,7 +139,7 @@ int32_t pscpJitRegSet(JitContext* ctx, int32_t index, uint32_t value) noexcept;
 int32_t pscpJitPortRead(JitContext* ctx, int32_t port) noexcept;
 int32_t pscpJitPortWrite(JitContext* ctx, int32_t port, uint32_t value,
                          int32_t timeSkew) noexcept;
-int32_t pscpJitEvSet(JitContext* ctx, int32_t index) noexcept;
+int32_t pscpJitEvSet(JitContext* ctx, int32_t index, int32_t timeSkew) noexcept;
 int32_t pscpJitCondSet(JitContext* ctx, int32_t index, int32_t value) noexcept;
 int32_t pscpJitCondTest(JitContext* ctx, int32_t index) noexcept;
 int32_t pscpJitStateTest(JitContext* ctx, int32_t index) noexcept;

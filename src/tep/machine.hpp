@@ -42,6 +42,10 @@ class TepHost {
   // Port architecture.
   [[nodiscard]] virtual uint32_t readPort(int address) = 0;
   virtual void writePort(int address, uint32_t value) = 0;
+  /// Store a port value without the write's side channels (a host's log
+  /// and observers). A traced native run stores through here and leaves
+  /// the write itself to the embedder's replay. Default: writePort.
+  virtual void storePort(int address, uint32_t value) { writePort(address, value); }
 
   // SLA / CR communication.
   virtual void raiseEvent(int index) = 0;

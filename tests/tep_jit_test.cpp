@@ -7,25 +7,35 @@
 //      stack overflow/underflow, running off the program) plus seeded
 //      random-program fuzz over several architecture shapes. Compares
 //      ACC/OP/flags, exact cycle counts, every host side effect in order,
-//      and error messages byte for byte.
-//   2. Machine level — the SMD workload stepped with PSCP_JIT off vs
-//      always: fired transitions, cycle counts, port-write logs (values
-//      and timestamps) and active states must match on every cycle.
+//      and error messages byte for byte; a traced native run must record
+//      the interpreter's timeline (bus cycles, port writes, raises, fault
+//      cycle).
+//   2. Machine level — the SMD workload at 1, 2 and 4 TEPs, plus charts
+//      for the lockstep loop's edges, stepped with PSCP_JIT off vs always:
+//      fired transitions, cycle and stall counts, the CR, port-write logs
+//      (values and timestamps), fault messages and active states must
+//      match on every cycle.
 //   3. Fleet/journal level — a journal recorded under the interpreter
 //      must verify (CR digest checkpoints) when replayed with the native
-//      tier forced on, at 1 and 8 workers, SoA batching on and off.
+//      tier forced on, for 1 and 2 TEPs at 1, 2, 4 and 8 workers, SoA
+//      batching on and off.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "actionlang/parser.hpp"
 #include "fleet/fleet.hpp"
 #include "obs/journal/journal.hpp"
 #include "obs/journal/replay.hpp"
 #include "pscp/machine.hpp"
+#include "pscp/sched_cost.hpp"
+#include "statechart/parser.hpp"
 #include "tep/ir.hpp"
 #include "tep/jit/codebuf.hpp"
 #include "tep/jit/emit_x64.hpp"
@@ -62,11 +72,42 @@ struct TierRun {
   int64_t cycles = 0;
 };
 
+/// Host that also notes, at each TEP-local cycle, what a traced native run
+/// must reproduce: the cycles that ask for the external bus, port writes
+/// and event raises. The clock is the TEP's own cycle counter.
+class TimelineHost : public SimpleHost {
+ public:
+  const Tep* tep = nullptr;
+  std::vector<int64_t> busCycles;
+  std::vector<jit::LaneTrace::Entry> effects;
+
+  bool acquireExternalBus(int tepId) override {
+    (void)tepId;
+    busCycles.push_back(now());
+    return true;
+  }
+  void writePort(int address, uint32_t value) override {
+    effects.push_back({now(), jit::LaneTrace::Kind::kPortWrite, address, value});
+    SimpleHost::writePort(address, value);
+  }
+  void storePort(int address, uint32_t value) override {
+    SimpleHost::writePort(address, value);
+  }
+  void raiseEvent(int index) override {
+    effects.push_back({now(), jit::LaneTrace::Kind::kRaise, index, 0});
+    SimpleHost::raiseEvent(index);
+  }
+
+ private:
+  [[nodiscard]] int64_t now() const { return tep->cyclesExecuted() - 1; }
+};
+
 TierRun runInterp(const AsmProgram& prog, int entry,
                   const hwlib::ArchConfig& config, SimpleHost& host,
                   int64_t maxCycles) {
   Tep tep(config, host, 0);
   tep.setProgram(&prog);
+  if (auto* timeline = dynamic_cast<TimelineHost*>(&host)) timeline->tep = &tep;
   TierRun r;
   try {
     tep.startRoutine(entry);
@@ -93,7 +134,8 @@ TierRun runInterp(const AsmProgram& prog, int entry,
 /// just can't diff this case.
 bool runNative(const AsmProgram& prog, int entry,
                const hwlib::ArchConfig& config, SimpleHost& host,
-               int64_t budget, TierRun* out, std::string* reject) {
+               int64_t budget, TierRun* out, std::string* reject,
+               jit::LaneTrace* trace = nullptr) {
   const ir::LowerResult low = ir::lowerRoutine(prog, entry, config);
   if (!low.ok) {
     *reject = "lowering: " + low.reason;
@@ -121,6 +163,7 @@ bool runNative(const AsmProgram& prog, int entry,
   ctx.machineTime = &timeSink;
   ctx.cycleBudget = budget;
   ctx.env = &env;
+  ctx.trace = trace;
   const auto fn =
       reinterpret_cast<jit::CompiledFn>(const_cast<void*>(buf.entry()));
   const int32_t status = fn(&ctx);
@@ -153,25 +196,72 @@ void seedHost(SimpleHost& host, Rng& rng) {
   for (int s = 0; s < 4; ++s) host.states[s] = rng.chance(50);
 }
 
+/// How many diffed routines exercised each part of the timeline oracle
+/// (the fuzz tests assert none of them is vacuous).
+struct TimelineCoverage {
+  int busCycles = 0;
+  int effects = 0;
+  int faults = 0;
+};
+TimelineCoverage gTimelineCoverage;
+
+/// A traced native run must record the interpreter's timeline: the same
+/// bus cycles, port writes and raises at the same local cycles, the same
+/// length, and the fault on the cycle where the interpreter raises it.
+void diffTimeline(const AsmProgram& prog, int entry, const hwlib::ArchConfig& config,
+                  const TierRun& interp, const TimelineHost& interpHost,
+                  TimelineHost& tracedHost, const std::string& label) {
+  jit::LaneTrace trace;
+  TierRun traced;
+  std::string reject;
+  ASSERT_TRUE(runNative(prog, entry, config, tracedHost, 4'000'000, &traced, &reject,
+                        &trace))
+      << label << ": " << reject;
+  ASSERT_EQ(interp.error, traced.error) << label;
+  const int64_t end =
+      traced.completed ? traced.cycles : trace.faultCycle(traced.cycles) + 1;
+  EXPECT_EQ(end, interp.cycles) << label << " (length or fault cycle)";
+  std::vector<int64_t> busCycles;
+  std::vector<jit::LaneTrace::Entry> effects;
+  for (const jit::LaneTrace::Entry& e : trace.entries) {
+    if (e.kind != jit::LaneTrace::Kind::kBus) {
+      effects.push_back(e);
+      continue;
+    }
+    for (int64_t c = e.at; c < e.at + e.arg && c < end; ++c) busCycles.push_back(c);
+  }
+  EXPECT_EQ(busCycles, interpHost.busCycles) << label;
+  EXPECT_EQ(effects, interpHost.effects) << label;
+  gTimelineCoverage.busCycles += busCycles.empty() ? 0 : 1;
+  gTimelineCoverage.effects += effects.empty() ? 0 : 1;
+  gTimelineCoverage.faults += traced.completed ? 0 : 1;
+  EXPECT_TRUE(tracedHost.raisedEvents.empty()) << label << ": raises are the embedder's";
+  EXPECT_EQ(tracedHost.ports, interpHost.ports) << label;
+}
+
 /// Run `prog` on both tiers over identically seeded hosts and require
 /// bit-identical outcomes. Returns false when the native tier rejected
 /// the routine (callers assert how often that may happen).
 bool diffRoutine(const AsmProgram& prog, int entry,
                  const hwlib::ArchConfig& config, uint32_t hostSeed,
                  const std::string& label) {
-  SimpleHost interpHost;
+  TimelineHost interpHost;
   SimpleHost nativeHost;
+  TimelineHost tracedHost;
   {
     Rng a(hostSeed);
     seedHost(interpHost, a);
     Rng b(hostSeed);
     seedHost(nativeHost, b);
+    Rng c(hostSeed);
+    seedHost(tracedHost, c);
   }
   TierRun native;
   std::string reject;
   if (!runNative(prog, entry, config, nativeHost, 4'000'000, &native, &reject))
     return false;
   const TierRun interp = runInterp(prog, entry, config, interpHost, 4'000'000);
+  diffTimeline(prog, entry, config, interp, interpHost, tracedHost, label);
 
   EXPECT_EQ(interp.completed, native.completed) << label;
   EXPECT_EQ(interp.error, native.error) << label;
@@ -606,6 +696,10 @@ TEST(TepJitDiff, RandomProgramFuzz) {
   // The generator only emits supported shapes; nothing may be rejected.
   EXPECT_EQ(rejected, 0);
   EXPECT_GE(diffed, 100);
+  // The traced-timeline oracle saw bus traffic, side effects and faults.
+  EXPECT_GT(gTimelineCoverage.busCycles, 0);
+  EXPECT_GT(gTimelineCoverage.effects, 0);
+  EXPECT_GT(gTimelineCoverage.faults, 0);
 }
 
 // A second seed lane pinned to the richest arch shape (16-bit with
@@ -703,31 +797,56 @@ TEST(TepJitTier, RejectedRoutineStaysInterpreted) {
 using machine::CycleStats;
 using machine::PscpMachine;
 
+/// What a machine diff saw of parallel execution.
+struct DiffStats {
+  int parallelCycles = 0;        ///< cycles that fired two or more routines
+  int nativeParallelCycles = 0;  ///< ... all of them natively on `b`
+  size_t maxFired = 0;           ///< most routines fired in one cycle
+};
+
 /// Step `a` (reference tier) and `b` (tier under test) with the same
-/// pseudo-random event script and require identical observable behaviour
-/// every cycle.
-void diffMachines(PscpMachine& a, PscpMachine& b, uint32_t seed, int cycles) {
+/// pseudo-random event script (each of `eventNames` at `percent`%) and
+/// require identical observable behaviour every cycle: fired order,
+/// cycle and stall counts, the CR and the port writes the cycle logged.
+void diffMachines(PscpMachine& a, PscpMachine& b, uint32_t seed, int cycles,
+                  const std::vector<std::string>& eventNames = {"POWER", "DATA_VALID",
+                                                                "X_PULSE", "Y_PULSE"},
+                  int percent = 35, DiffStats* out = nullptr) {
   std::vector<int> eventIds;
-  for (const char* name : {"POWER", "DATA_VALID", "X_PULSE", "Y_PULSE"})
-    eventIds.push_back(a.eventId(name));
+  for (const std::string& name : eventNames) eventIds.push_back(a.eventId(name));
   Rng rng(seed);
   CycleStats sa, sb;
+  DiffStats d;
+  size_t logged = a.portWrites().size();
+  ASSERT_EQ(logged, b.portWrites().size());
   for (int cyc = 0; cyc < cycles; ++cyc) {
     std::vector<int> events;
     for (const int id : eventIds)
-      if (rng.chance(35)) events.push_back(id);
+      if (rng.chance(percent)) events.push_back(id);
+    const int64_t nativeBefore = b.jitNativeRuns();
     a.configurationCycleIds(events, &sa);
     b.configurationCycleIds(events, &sb);
     ASSERT_EQ(sa.fired, sb.fired) << "cycle " << cyc;
     ASSERT_EQ(sa.cycles, sb.cycles) << "cycle " << cyc;
     ASSERT_EQ(sa.busStallCycles, sb.busStallCycles) << "cycle " << cyc;
     ASSERT_EQ(sa.quiescent, sb.quiescent) << "cycle " << cyc;
+    ASSERT_EQ(obs::journal::crDigest(a.crBits()), obs::journal::crDigest(b.crBits()))
+        << "cycle " << cyc;
+    ASSERT_EQ(a.portWrites().size(), b.portWrites().size()) << "cycle " << cyc;
+    for (; logged < a.portWrites().size(); ++logged)
+      ASSERT_EQ(a.portWrites()[logged], b.portWrites()[logged])
+          << "cycle " << cyc << " port write " << logged;
+    d.maxFired = std::max(d.maxFired, sa.fired.size());
+    if (sa.fired.size() >= 2) {
+      ++d.parallelCycles;
+      if (b.jitNativeRuns() - nativeBefore == static_cast<int64_t>(sb.fired.size()))
+        ++d.nativeParallelCycles;
+    }
   }
   EXPECT_EQ(a.totalCycles(), b.totalCycles());
+  EXPECT_EQ(a.totalBusStalls(), b.totalBusStalls());
   EXPECT_EQ(a.activeNames(), b.activeNames());
-  ASSERT_EQ(a.portWrites().size(), b.portWrites().size());
-  for (size_t i = 0; i < a.portWrites().size(); ++i)
-    EXPECT_EQ(a.portWrites()[i], b.portWrites()[i]) << "port write " << i;
+  if (out != nullptr) *out = d;
 }
 
 TEST(TepJitMachine, SmdSingleTepJitMatchesInterpreter) {
@@ -748,15 +867,278 @@ TEST(TepJitMachine, SmdSingleTepJitMatchesInterpreter) {
 }
 
 TEST(TepJitMachine, SmdTwoTepMixedServiceMatchesInterpreter) {
-  // With two TEPs only single-transition cycles are serial-equivalent;
-  // the machine must interleave native and lockstep cycles and still
-  // match the pure interpreter exactly.
+  // Random service events on the paper's 2-TEP image: single-transition
+  // cycles take the serial native path, parallel cycles of independent
+  // routines run as native lanes of the lockstep loop, anything else stays
+  // interpreted. Every cycle must match the pure interpreter exactly.
   const auto image = workloads::makeSmdFleetImage(/*numTeps=*/2);
   PscpMachine interp(image);
   interp.setJitMode(jit::JitMode::kOff);
   PscpMachine native(image);
   native.setJitMode(jit::JitMode::kAlways);
   diffMachines(interp, native, 0xBEEF, 300);
+}
+
+/// Warm both machines into Moving, then pulse the three axes at random:
+/// the DeltaT routines of one cycle are independent (effect summaries),
+/// so every parallel cycle must run natively and still match.
+void diffSmdPulses(int numTeps, uint32_t seed) {
+  const auto image = workloads::makeSmdFleetImage(numTeps);
+  PscpMachine interp(image);
+  interp.setJitMode(jit::JitMode::kOff);
+  PscpMachine native(image);
+  native.setJitMode(jit::JitMode::kAlways);
+  ASSERT_TRUE(workloads::warmUpSmdInstance(interp, interp.eventId("DATA_VALID")));
+  ASSERT_TRUE(workloads::warmUpSmdInstance(native, native.eventId("DATA_VALID")));
+  DiffStats d;
+  diffMachines(interp, native, seed, 400, {"X_PULSE", "Y_PULSE", "PHI_PULSE"}, 60, &d);
+  EXPECT_EQ(d.maxFired, 3u);
+  EXPECT_GT(d.parallelCycles, 100);
+  if (jit::jitBackendAvailable()) {
+    EXPECT_EQ(d.nativeParallelCycles, d.parallelCycles);
+    EXPECT_EQ(native.jitInterpRuns(), 0);
+  }
+  EXPECT_GT(interp.totalBusStalls(), 0) << "the pulses must contend for the bus";
+}
+
+TEST(TepJitMachine, SmdTwoTepPulsesRunNativeLanes) {
+  // Three routines on two TEPs: the third is dispatched when the first
+  // retires (TAT refill).
+  diffSmdPulses(2, 0xA11CE);
+}
+
+TEST(TepJitMachine, SmdFourTepPulsesRunNativeLanes) { diffSmdPulses(4, 0x5EED); }
+
+/// Parse `chart`/`actions` into an image on a 2-TEP, 8-bit arch (one
+/// condition word: the write-back costs one cycle). The bundle keeps the
+/// chart and program alive as long as the image.
+std::shared_ptr<const machine::ChartImage> twoTepImage(const char* chart,
+                                                       const char* actions) {
+  struct Bundle {
+    statechart::Chart chart;
+    actionlang::Program actions;
+    std::unique_ptr<const machine::ChartImage> image;
+  };
+  auto bundle = std::make_shared<Bundle>(
+      Bundle{statechart::parseChart(chart), actionlang::parseActionSource(actions), {}});
+  hwlib::ArchConfig arch;
+  arch.numTeps = 2;
+  arch.dataWidth = 8;
+  bundle->image =
+      std::make_unique<const machine::ChartImage>(bundle->chart, bundle->actions, arch);
+  return {bundle, bundle->image.get()};
+}
+
+TEST(TepJitMachine, RetireAtKZeroShiftsRotationOnBothTiers) {
+  // A retire charges the condition write-back inside the lockstep loop's
+  // TEP rotation. With an odd write-back cost, a TEP that retires first in
+  // its machine cycle (k = 0) moves the rotation back onto itself, so the
+  // other TEP skips that cycle: A || B then costs one cycle more than
+  // "dispatch + write-back + B alone". Short() sweeps A's length over both
+  // parities, so both outcomes occur; the native lanes must reproduce each.
+  const auto image = twoTepImage(R"chart(
+chart Quirk;
+event GO; event ONLY_B;
+port Pad data in width 8 address 0x10;
+orstate Top { contains Both; default Both; }
+andstate Both {
+  orstate PartA { default A;
+    basicstate A { transition { target A; label "GO/Short()"; } }
+  }
+  orstate PartB { default B;
+    basicstate B {
+      transition { target B; label "GO/Long()"; }
+      transition { target B; label "ONLY_B/Long()"; }
+    }
+  }
+}
+)chart",
+                                 R"code(
+void Short() {
+  uint:8 i = 0;
+  while (i < read_port(Pad)) bound 8 { i = i + 1; }
+  if (i == 3) { i = 0; }
+}
+void Long() {
+  uint:8 j = 0;
+  while (j < 40) bound 40 { j = j + 1; }
+}
+)code");
+  const int64_t writeBack = machine::conditionCopyCycles(image->arch(), 0);
+  ASSERT_EQ(writeBack % 2, 1);
+  std::set<int64_t> extra;  // cycles of A || B beyond B alone
+  for (uint32_t pad = 0; pad < 8; ++pad) {
+    int64_t both[2] = {0, 0};
+    int64_t alone[2] = {0, 0};
+    for (int tier = 0; tier < 2; ++tier) {
+      PscpMachine m(image);
+      m.setJitMode(tier == 0 ? jit::JitMode::kOff : jit::JitMode::kAlways);
+      m.setInputPort("Pad", pad);
+      CycleStats stats;
+      m.configurationCycleIds({m.eventId("GO")}, &stats);
+      ASSERT_EQ(stats.fired.size(), 2u);
+      EXPECT_TRUE(image->independent(stats.fired));
+      both[tier] = stats.cycles;
+      m.configurationCycleIds({m.eventId("ONLY_B")}, &stats);
+      ASSERT_EQ(stats.fired.size(), 1u);
+      alone[tier] = stats.cycles;
+      if (tier == 1 && jit::jitBackendAvailable()) EXPECT_EQ(m.jitNativeRuns(), 3);
+    }
+    EXPECT_EQ(both[0], both[1]) << "pad " << pad;
+    EXPECT_EQ(alone[0], alone[1]) << "pad " << pad;
+    extra.insert(both[0] - alone[0] - machine::kDispatchCyclesPerTransition - writeBack);
+  }
+  EXPECT_EQ(extra, (std::set<int64_t>{0, 1}));
+}
+
+TEST(TepJitMachine, DependentParallelRoutinesStayInterpreted) {
+  // GO: both routines update one external global. PING: both write one
+  // port. Neither pair is provably independent, so those cycles run on the
+  // interpreter lanes (their order of effects is the lockstep order).
+  const auto image = twoTepImage(R"chart(
+chart Shared;
+event GO; event PING; event SOLO;
+port Out data out width 8 address 0x20;
+orstate Top { contains Both; default Both; }
+andstate Both {
+  orstate PartA { default A;
+    basicstate A {
+      transition { target A; label "GO/Bump(1)"; }
+      transition { target A; label "PING/Say(1)"; }
+      transition { target A; label "SOLO/Bump(3)"; }
+    }
+  }
+  orstate PartB { default B;
+    basicstate B {
+      transition { target B; label "GO/Bump(2)"; }
+      transition { target B; label "PING/Say(2)"; }
+    }
+  }
+}
+)chart",
+                                 R"code(
+uint:8 shared;
+void Bump(uint:8 by) {
+  shared = shared + by;
+  write_port(Out, shared);
+}
+void Say(uint:8 v) { write_port(Out, v); }
+)code");
+  PscpMachine interp(image);
+  interp.setJitMode(jit::JitMode::kOff);
+  PscpMachine native(image);
+  native.setJitMode(jit::JitMode::kAlways);
+  CycleStats stats;
+  for (const char* event : {"GO", "PING"}) {
+    PscpMachine probe(image);
+    probe.configurationCycleIds({probe.eventId(event)}, &stats);
+    ASSERT_EQ(stats.fired.size(), 2u) << event;
+    EXPECT_FALSE(image->independent(stats.fired)) << event;
+  }
+  DiffStats d;
+  diffMachines(interp, native, 0xD00D, 200, {"GO", "PING", "SOLO"}, 50, &d);
+  EXPECT_GT(d.parallelCycles, 50);
+  EXPECT_EQ(d.nativeParallelCycles, 0);
+  if (jit::jitBackendAvailable()) {
+    EXPECT_GT(native.jitNativeRuns(), 0);  // SOLO-only cycles run serially
+    EXPECT_GT(native.jitInterpRuns(), 0);
+  }
+}
+
+const char* kFaultChart = R"chart(
+chart Faults;
+event GO; event SPIN;
+port IA data in width 16 address 0x10;
+port IB data in width 16 address 0x11;
+port PA data in width 8 address 0x12;
+port PB data in width 8 address 0x13;
+port Spin data in width 8 address 0x14;
+orstate Top { contains Both; default Both; }
+andstate Both {
+  orstate PartA { default A;
+    basicstate A {
+      transition { target A; label "GO/WriteA()"; }
+      transition { target A; label "SPIN/Forever()"; }
+    }
+  }
+  orstate PartB { default B;
+    basicstate B {
+      transition { target B; label "GO/ReadB()"; }
+      transition { target B; label "SPIN/ReadB()"; }
+    }
+  }
+}
+)chart";
+
+// The arrays are indexed with input-port values, which codegen does not
+// bounds-check: past the external window the access faults.
+const char* kFaultActions = R"code(
+uint:8 a[4];
+uint:8 b[4];
+uint:8 seen;
+void WriteA() {
+  uint:8 i = 0;
+  while (i < read_port(PA)) bound 8 { i = i + 1; }
+  a[read_port(IA)] = 1;
+}
+void ReadB() {
+  uint:8 i = 0;
+  while (i < read_port(PB)) bound 8 { i = i + 1; }
+  seen = b[read_port(IB)];
+}
+void Forever() {
+  uint:8 i = 0;
+  while (read_port(Spin) != 0) bound 1 { i = i + 1; }
+}
+)code";
+
+/// The message a fresh machine at `mode` throws for one `event` cycle.
+std::string faultOf(const std::shared_ptr<const machine::ChartImage>& image,
+                    jit::JitMode mode, const char* event,
+                    const std::vector<std::pair<const char*, uint32_t>>& ports) {
+  PscpMachine m(image);
+  m.setJitMode(mode);
+  for (const auto& [port, value] : ports) m.setInputPort(port, value);
+  try {
+    m.configurationCycleIds({m.eventId(event)});
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "no fault";
+}
+
+TEST(TepJitMachine, TwoTepFaultsThrowTheFirstInLockstepOrder) {
+  // WriteA faults writing 0x8000, ReadB reading 0x8001, each after a
+  // port-driven delay. Whichever the lockstep loop reaches first throws —
+  // on the native lanes as on the interpreter, byte for byte.
+  const auto image = twoTepImage(kFaultChart, kFaultActions);
+  const int32_t a = image->app().globalPlacement.at("a").address;
+  const int32_t b = image->app().globalPlacement.at("b").address;
+  const auto ia = static_cast<uint32_t>(0x8000 - a);
+  const auto ib = static_cast<uint32_t>(0x8001 - b);
+  std::set<std::string> seen;
+  for (uint32_t pa = 0; pa < 5; ++pa) {
+    for (uint32_t pb = 0; pb < 5; ++pb) {
+      const std::vector<std::pair<const char*, uint32_t>> ports = {
+          {"IA", ia}, {"IB", ib}, {"PA", pa}, {"PB", pb}};
+      const std::string interp = faultOf(image, jit::JitMode::kOff, "GO", ports);
+      EXPECT_EQ(faultOf(image, jit::JitMode::kAlways, "GO", ports), interp)
+          << "pa " << pa << " pb " << pb;
+      seen.insert(interp);
+    }
+  }
+  EXPECT_EQ(seen, (std::set<std::string>{"PSCP: data write to unmapped address 0x8000",
+                                         "PSCP: data read from unmapped address 0x8001"}));
+}
+
+TEST(TepJitMachine, TwoTepBudgetExhaustionUsesInterpreterMessage) {
+  // Forever() never returns while ReadB() completes on the other TEP: the
+  // configuration-cycle guard trips with the interpreter's message.
+  const auto image = twoTepImage(kFaultChart, kFaultActions);
+  const std::vector<std::pair<const char*, uint32_t>> ports = {{"Spin", 1}};
+  const std::string expected = "PSCP configuration cycle exceeded 4000000 machine cycles";
+  EXPECT_EQ(faultOf(image, jit::JitMode::kOff, "SPIN", ports), expected);
+  EXPECT_EQ(faultOf(image, jit::JitMode::kAlways, "SPIN", ports), expected);
 }
 
 TEST(TepJitMachine, AutoThresholdPromotesHotRoutines) {
@@ -780,42 +1162,52 @@ TEST(TepJitMachine, AutoThresholdPromotesHotRoutines) {
 // --------------------------------------------------- fleet-level diffing
 
 TEST(TepJitFleet, FleetJitMatchesInterpAcrossWorkersAndSoa) {
-  const auto image = workloads::makeSmdFleetImage(/*numTeps=*/1);
+  // Both images: 1 TEP (every cycle serial) and the paper's 2 TEPs (the
+  // pulse pairs run as native lanes of the lockstep loop).
   constexpr size_t kInstances = 12;
   constexpr int kEpochs = 20;
 
-  auto runFleet = [&](jit::JitMode mode, int workers, bool soa) {
-    fleet::FleetConfig config;
-    config.workerThreads = workers;
-    config.soaBatching = soa;
-    config.jitMode = mode;
-    config.jitThreshold = 4;
-    fleet::Fleet fleet(image, config);
-    const workloads::SmdPulseIds ids = workloads::resolveSmdPulseIds(fleet);
-    EXPECT_TRUE(workloads::warmUpSmdFleet(fleet, kInstances, ids));
-    for (int e = 0; e < kEpochs; ++e) {
+  for (const int numTeps : {1, 2}) {
+    const auto image = workloads::makeSmdFleetImage(numTeps);
+    auto runFleet = [&](jit::JitMode mode, int workers, bool soa, int64_t* nativeRuns) {
+      fleet::FleetConfig config;
+      config.workerThreads = workers;
+      config.soaBatching = soa;
+      config.jitMode = mode;
+      config.jitThreshold = 4;
+      fleet::Fleet fleet(image, config);
+      const workloads::SmdPulseIds ids = workloads::resolveSmdPulseIds(fleet);
+      EXPECT_TRUE(workloads::warmUpSmdFleet(fleet, kInstances, ids));
+      for (int e = 0; e < kEpochs; ++e) {
+        fleet.step(2);
+        workloads::injectSmdPulses(fleet, ids);
+      }
       fleet.step(2);
-      workloads::injectSmdPulses(fleet, ids);
-    }
-    fleet.step(2);
-    std::vector<fleet::InstanceSnapshot> snaps;
-    for (size_t i = 0; i < kInstances; ++i)
-      snaps.push_back(fleet.snapshot(static_cast<fleet::InstanceId>(i)));
-    return snaps;
-  };
+      *nativeRuns = fleet.mergedMetrics().value("fleet.jit_native_routines");
+      std::vector<fleet::InstanceSnapshot> snaps;
+      for (size_t i = 0; i < kInstances; ++i)
+        snaps.push_back(fleet.snapshot(static_cast<fleet::InstanceId>(i)));
+      return snaps;
+    };
 
-  const auto reference = runFleet(jit::JitMode::kOff, 1, false);
-  for (const int workers : {1, 8}) {
-    for (const bool soa : {false, true}) {
-      const auto got = runFleet(jit::JitMode::kAlways, workers, soa);
-      ASSERT_EQ(got.size(), reference.size());
-      for (size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].machineCycles, reference[i].machineCycles)
-            << "instance " << i << " workers=" << workers << " soa=" << soa;
-        EXPECT_EQ(got[i].configCycles, reference[i].configCycles) << i;
-        EXPECT_EQ(got[i].firedTransitions, reference[i].firedTransitions) << i;
-        EXPECT_EQ(got[i].quiescentCycles, reference[i].quiescentCycles) << i;
-        EXPECT_EQ(got[i].activeStates, reference[i].activeStates) << i;
+    int64_t nativeRuns = 0;
+    const auto reference = runFleet(jit::JitMode::kOff, 1, false, &nativeRuns);
+    EXPECT_EQ(nativeRuns, 0);
+    for (const int workers : {1, 2, 4, 8}) {
+      for (const bool soa : {false, true}) {
+        const auto got = runFleet(jit::JitMode::kAlways, workers, soa, &nativeRuns);
+        if (jit::jitBackendAvailable())
+          EXPECT_GT(nativeRuns, 0) << "teps=" << numTeps << " workers=" << workers;
+        ASSERT_EQ(got.size(), reference.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].machineCycles, reference[i].machineCycles)
+              << "instance " << i << " teps=" << numTeps << " workers=" << workers
+              << " soa=" << soa;
+          EXPECT_EQ(got[i].configCycles, reference[i].configCycles) << i;
+          EXPECT_EQ(got[i].firedTransitions, reference[i].firedTransitions) << i;
+          EXPECT_EQ(got[i].quiescentCycles, reference[i].quiescentCycles) << i;
+          EXPECT_EQ(got[i].activeStates, reference[i].activeStates) << i;
+        }
       }
     }
   }
@@ -843,41 +1235,44 @@ TEST(TepJitFleet, TierMetricsSurfaceInMergedMetrics) {
 TEST(TepJitJournal, InterpreterRecordingVerifiesUnderJit) {
   // Record the SMD duty cycle under the interpreter, then verify the CR
   // digest checkpoints replaying with the native tier forced on — across
-  // worker counts and batching modes (the PR-8 acceptance matrix).
-  const auto image = workloads::makeSmdFleetImage(/*numTeps=*/1);
-  fleet::FleetConfig config;
-  config.journal = true;
-  config.journalConfig.checkpointInterval = 4;
-  config.jitMode = jit::JitMode::kOff;
-  fleet::Fleet fleet(image, config);
-  const workloads::SmdPulseIds ids = workloads::resolveSmdPulseIds(fleet);
-  ASSERT_TRUE(workloads::warmUpSmdFleet(fleet, 8, ids));
-  for (int e = 0; e < 16; ++e) {
+  // TEP counts, worker counts and batching modes (the PR-8 acceptance
+  // matrix).
+  for (const int numTeps : {1, 2}) {
+    const auto image = workloads::makeSmdFleetImage(numTeps);
+    fleet::FleetConfig config;
+    config.journal = true;
+    config.journalConfig.checkpointInterval = 4;
+    config.jitMode = jit::JitMode::kOff;
+    fleet::Fleet fleet(image, config);
+    const workloads::SmdPulseIds ids = workloads::resolveSmdPulseIds(fleet);
+    ASSERT_TRUE(workloads::warmUpSmdFleet(fleet, 8, ids));
+    for (int e = 0; e < 16; ++e) {
+      fleet.step(2);
+      workloads::injectSmdPulses(fleet, ids);
+    }
     fleet.step(2);
-    workloads::injectSmdPulses(fleet, ids);
-  }
-  fleet.step(2);
 
-  obs::journal::Journal journal;
-  std::string error;
-  ASSERT_TRUE(
-      obs::journal::Journal::parse(fleet.journal()->dumpJson(), &journal, &error))
-      << error;
+    obs::journal::Journal journal;
+    std::string error;
+    ASSERT_TRUE(
+        obs::journal::Journal::parse(fleet.journal()->dumpJson(), &journal, &error))
+        << error;
 
-  const obs::journal::Replayer replayer(&journal, image);
-  for (const int workers : {1, 8}) {
-    for (const bool soa : {false, true}) {
-      obs::journal::ReplayOptions options;
-      options.workerThreads = workers;
-      options.soaBatching = soa;
-      options.jitMode = jit::JitMode::kAlways;
-      options.jitThreshold = 1;
-      const obs::journal::ReplayResult result = replayer.run(options);
-      ASSERT_TRUE(result.ok) << result.error;
-      EXPECT_TRUE(result.verified)
-          << "workers=" << workers << " soa=" << soa << " first mismatch at epoch "
-          << result.firstMismatch.epoch;
-      EXPECT_GT(result.checkpointsChecked, 0);
+    const obs::journal::Replayer replayer(&journal, image);
+    for (const int workers : {1, 2, 4, 8}) {
+      for (const bool soa : {false, true}) {
+        obs::journal::ReplayOptions options;
+        options.workerThreads = workers;
+        options.soaBatching = soa;
+        options.jitMode = jit::JitMode::kAlways;
+        options.jitThreshold = 1;
+        const obs::journal::ReplayResult result = replayer.run(options);
+        ASSERT_TRUE(result.ok) << result.error;
+        EXPECT_TRUE(result.verified)
+            << "teps=" << numTeps << " workers=" << workers << " soa=" << soa
+            << " first mismatch at epoch " << result.firstMismatch.epoch;
+        EXPECT_GT(result.checkpointsChecked, 0);
+      }
     }
   }
 }
