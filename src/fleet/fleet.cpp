@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
@@ -18,6 +19,11 @@ namespace {
 // Static empty event list for every non-first cycle of an epoch, so the
 // per-cycle call passes a reference without building a vector.
 const std::vector<int> kNoEvents;
+
+// Shard::nextCycle of a lane whose routine faulted this epoch: later than
+// any cycle, so the batched loop never steps it again and skips its
+// epoch fold.
+constexpr int kFaultedLane = INT_MAX;
 
 // Bucket bounds for the per-instance machine-cycles-per-epoch histogram;
 // shared by every worker registry so mergedMetrics() can fold them.
@@ -71,6 +77,10 @@ struct Fleet::Shard {
   // survive across the cycle loop).
   std::vector<int64_t> epochMachineCycles;
   std::vector<int64_t> epochFired;
+  // The epoch cycle at which each lane is next stepped. A lane whose
+  // decode selected nothing jumps past the quiescent cycles applied in
+  // bulk; until then it is parked: neither re-packed nor decoded.
+  std::vector<int> nextCycle;
 
   alignas(64) std::atomic<size_t> cursor{0};
 };
@@ -82,12 +92,14 @@ struct Fleet::WorkerLocal {
   int64_t machineCycles = 0;
   int64_t configCycles = 0;
   int64_t quiescentCycles = 0;
+  int64_t bulkQuiescentCycles = 0;  ///< of which applied without a decode
   int64_t firedTransitions = 0;
   int64_t busStallCycles = 0;
   int64_t eventsDelivered = 0;
   int64_t stealChunks = 0;
   int64_t instancesStepped = 0;
   obs::Histogram* cyclesPerEpoch = nullptr;
+  std::vector<Fault>* faults = nullptr;  ///< this worker's routine faults
 
   // Telemetry (ring == nullptr when the plane is disarmed: the hot loop's
   // single predictable check).
@@ -105,6 +117,7 @@ struct Fleet::WorkerMetricRefs {
   int64_t* machineCycles = nullptr;
   int64_t* configCycles = nullptr;
   int64_t* quiescentCycles = nullptr;
+  int64_t* bulkQuiescentCycles = nullptr;
   int64_t* firedTransitions = nullptr;
   int64_t* busStallCycles = nullptr;
   int64_t* eventsDelivered = nullptr;
@@ -164,12 +177,14 @@ Fleet::Fleet(ChartImagePtr image, FleetConfig config)
   workerCount_ = static_cast<size_t>(config_.workerThreads);
   workerMetrics_.resize(workerCount_);
   workerMetricRefs_.resize(workerCount_);
+  workerFaults_.resize(workerCount_);
   for (size_t w = 0; w < workerCount_; ++w) {
     obs::MetricsRegistry& reg = workerMetrics_[w];
     WorkerMetricRefs& refs = workerMetricRefs_[w];
     refs.machineCycles = &reg.counter("fleet.machine_cycles");
     refs.configCycles = &reg.counter("fleet.config_cycles");
     refs.quiescentCycles = &reg.counter("fleet.quiescent_cycles");
+    refs.bulkQuiescentCycles = &reg.counter("fleet.bulk_quiescent_cycles");
     refs.firedTransitions = &reg.counter("fleet.fired_transitions");
     refs.busStallCycles = &reg.counter("fleet.bus_stall_cycles");
     refs.eventsDelivered = &reg.counter("fleet.events_delivered");
@@ -237,6 +252,7 @@ std::vector<InstanceId> Fleet::spawnMany(size_t count) {
 void Fleet::retire(InstanceId id) {
   liveInstance(id);  // asserts liveness
   instances_[static_cast<size_t>(id)].reset();
+  faulted_.erase(id);
   liveCount_.fetch_sub(1, std::memory_order_relaxed);
   shardsDirty_ = true;
   if (journal_ != nullptr) journal_->recordRetire(static_cast<int64_t>(id));
@@ -288,7 +304,7 @@ void Fleet::rebuildShards() {
   std::vector<Instance*> live;
   live.reserve(instances_.size());
   for (const auto& inst : instances_)
-    if (inst != nullptr) live.push_back(inst.get());
+    if (inst != nullptr && faulted_.count(inst->id) == 0) live.push_back(inst.get());
   const size_t base = live.size() / workerCount_;
   const size_t extra = live.size() % workerCount_;
   size_t next = 0;
@@ -305,6 +321,7 @@ void Fleet::rebuildShards() {
       shard.arenaDirty.assign(shard.members.size(), 1);
       shard.epochMachineCycles.assign(shard.members.size(), 0);
       shard.epochFired.assign(shard.members.size(), 0);
+      shard.nextCycle.assign(shard.members.size(), 0);
     }
   }
   shardsDirty_ = false;
@@ -322,19 +339,35 @@ void Fleet::stepInstance(Instance& inst, int cycles, WorkerLocal& local) {
   int64_t epochMachineCycles = 0;
   int64_t epochFired = 0;
   for (int c = 0; c < cycles; ++c) {
+    const bool pure =
+        (c > 0 || inst.drained.empty()) && inst.machine.nextCycleIsPureDecode();
     inst.machine.configurationCycleIds(c == 0 ? inst.drained : kNoEvents,
                                        &inst.stats);
-    epochMachineCycles += inst.stats.cycles;
-    inst.busStallCycles += inst.stats.busStallCycles;
-    epochFired += static_cast<int64_t>(inst.stats.fired.size());
-    local.busStallCycles += inst.stats.busStallCycles;
-    if (inst.stats.quiescent) {
-      ++inst.quiescentCycles;
-      ++local.quiescentCycles;
+    foldCycles(inst, 1, epochMachineCycles, epochFired, local);
+    if (pure && inst.stats.quiescent) {
+      // The quiescent skip: the rest of the epoch repeats this cycle until
+      // a timer matures (the same rule as the batched path's parking).
+      const int64_t k = inst.machine.skipQuiescentCycles(cycles - c - 1, &inst.stats);
+      foldCycles(inst, k, epochMachineCycles, epochFired, local);
+      local.bulkQuiescentCycles += k;
+      c += static_cast<int>(k);
     }
   }
   finishInstanceEpoch(inst, cycles, epochMachineCycles, epochFired, drainedCount,
                       local);
+}
+
+void Fleet::foldCycles(Instance& inst, int64_t count, int64_t& epochMachineCycles,
+                       int64_t& epochFired, WorkerLocal& local) {
+  const machine::CycleStats& stats = inst.stats;
+  epochMachineCycles += count * stats.cycles;
+  epochFired += count * static_cast<int64_t>(stats.fired.size());
+  inst.busStallCycles += count * stats.busStallCycles;
+  local.busStallCycles += count * stats.busStallCycles;
+  if (stats.quiescent) {
+    inst.quiescentCycles += count;
+    local.quiescentCycles += count;
+  }
 }
 
 void Fleet::finishInstanceEpoch(Instance& inst, int cycles,
@@ -393,24 +426,37 @@ void Fleet::stepChunkBatched(Shard& shard, size_t begin, size_t end, int cycles,
     local.eventsDelivered += drainedCount;
     shard.epochMachineCycles[i] = 0;
     shard.epochFired[i] = 0;
+    shard.nextCycle[i] = 0;
   }
 
   // Cycle-major over lane groups: one vector decode answers "who selects
   // anything" for the whole group, and only lanes with work (a non-empty
   // selection, pending/drained events, a matured timer, an observer)
-  // enter the scalar machine step. A lane's arena row is packed lazily —
-  // once on first eligibility, and again only after a scalar fallback
-  // cycle dirtied it — so a quiescent steady state runs pure decode with
-  // zero copying.
-  for (int c = 0; c < cycles; ++c) {
+  // enter the scalar machine step. A lane whose decode selects nothing is
+  // parked: skipQuiescentCycles applies this and every following idle
+  // cycle up to the next timer maturity at once, and the lane is neither
+  // re-packed nor decoded again before its next-cycle index. The cycle
+  // loop resumes at the lowest index any lane of the chunk waits on, so a
+  // chunk that went idle at cycle 0 costs one decode per lane per epoch.
+  // A lane's arena row is packed lazily — once on first eligibility, and
+  // again only after a scalar fallback cycle dirtied it.
+  for (int c = 0; c < cycles;) {
+    int next = cycles;
     for (size_t g = begin; g < end; g += group) {
       const size_t gEnd = std::min(g + group, end);
+      uint64_t due = 0;
       uint64_t eligible = 0;
       for (size_t i = g; i < gEnd; ++i) {
+        if (shard.nextCycle[i] != c) {
+          next = std::min(next, shard.nextCycle[i]);
+          continue;
+        }
+        const uint64_t bit = uint64_t{1} << (i - g);
+        due |= bit;
         Instance& inst = *shard.members[i];
         if (c == 0 && !inst.drained.empty()) continue;
         if (!inst.machine.nextCycleIsPureDecode()) continue;
-        eligible |= uint64_t{1} << (i - g);
+        eligible |= bit;
         if (shard.arenaDirty[i] != 0) {
           shard.arena.pack(i, inst.machine.crBits());
           shard.arenaDirty[i] = 0;
@@ -421,28 +467,38 @@ void Fleet::stepChunkBatched(Shard& shard, size_t begin, size_t end, int cycles,
       const uint64_t selected =
           eligible == 0 ? 0 : batched.selectedLanes(soa, g, gEnd - g);
       for (size_t i = g; i < gEnd; ++i) {
-        Instance& inst = *shard.members[i];
         const uint64_t bit = uint64_t{1} << (i - g);
+        if ((due & bit) == 0) continue;
+        Instance& inst = *shard.members[i];
         if ((eligible & bit) != 0 && (selected & bit) == 0) {
-          inst.machine.applyQuiescentCycle(&inst.stats);
+          const int64_t k =
+              inst.machine.skipQuiescentCycles(cycles - c, &inst.stats);
+          foldCycles(inst, k, shard.epochMachineCycles[i], shard.epochFired[i],
+                     local);
+          local.bulkQuiescentCycles += k - 1;  // the first one was decoded
+          shard.nextCycle[i] = c + static_cast<int>(k);
         } else {
-          inst.machine.configurationCycleIds(c == 0 ? inst.drained : kNoEvents,
-                                             &inst.stats);
+          try {
+            inst.machine.configurationCycleIds(c == 0 ? inst.drained : kNoEvents,
+                                               &inst.stats);
+          } catch (const Error& e) {
+            local.faults->push_back({inst.id, e.what()});
+            shard.nextCycle[i] = kFaultedLane;
+            continue;
+          }
           shard.arenaDirty[i] = 1;
+          foldCycles(inst, 1, shard.epochMachineCycles[i], shard.epochFired[i],
+                     local);
+          shard.nextCycle[i] = c + 1;
         }
-        shard.epochMachineCycles[i] += inst.stats.cycles;
-        inst.busStallCycles += inst.stats.busStallCycles;
-        shard.epochFired[i] += static_cast<int64_t>(inst.stats.fired.size());
-        local.busStallCycles += inst.stats.busStallCycles;
-        if (inst.stats.quiescent) {
-          ++inst.quiescentCycles;
-          ++local.quiescentCycles;
-        }
+        next = std::min(next, shard.nextCycle[i]);
       }
     }
+    c = next;
   }
 
   for (size_t i = begin; i < end; ++i) {
+    if (shard.nextCycle[i] == kFaultedLane) continue;
     Instance& inst = *shard.members[i];
     finishInstanceEpoch(inst, cycles, shard.epochMachineCycles[i],
                         shard.epochFired[i],
@@ -454,6 +510,7 @@ void Fleet::runWorkerEpoch(size_t worker, int cycles, int64_t epoch) {
   const WorkerMetricRefs& refs = workerMetricRefs_[worker];
   WorkerLocal local;
   local.cyclesPerEpoch = refs.cyclesPerEpoch;
+  local.faults = &workerFaults_[worker];
 
   const bool armed = flight_ != nullptr;
   int64_t epochStart = 0;
@@ -488,8 +545,14 @@ void Fleet::runWorkerEpoch(size_t worker, int cycles, int64_t epoch) {
       if (config_.soaBatching) {
         stepChunkBatched(shard, begin, end, cycles, local);
       } else {
-        for (size_t i = begin; i < end; ++i)
-          stepInstance(*shard.members[i], cycles, local);
+        for (size_t i = begin; i < end; ++i) {
+          Instance& inst = *shard.members[i];
+          try {
+            stepInstance(inst, cycles, local);
+          } catch (const Error& e) {
+            local.faults->push_back({inst.id, e.what()});
+          }
+        }
       }
       if (offset != 0) {
         ++local.stealChunks;
@@ -505,6 +568,7 @@ void Fleet::runWorkerEpoch(size_t worker, int cycles, int64_t epoch) {
   *refs.machineCycles += local.machineCycles;
   *refs.configCycles += local.configCycles;
   *refs.quiescentCycles += local.quiescentCycles;
+  *refs.bulkQuiescentCycles += local.bulkQuiescentCycles;
   *refs.firedTransitions += local.firedTransitions;
   *refs.busStallCycles += local.busStallCycles;
   *refs.eventsDelivered += local.eventsDelivered;
@@ -598,6 +662,29 @@ void Fleet::step(int cycles) {
     pool_->done.wait(lk, [&] { return pool_->running == 0; });
   }
   if (journal_ != nullptr) journalEpoch(epoch, cycles);
+  throwFaults(epoch);
+}
+
+void Fleet::throwFaults(int64_t epoch) {
+  // A routine fault ends its own instance's epoch only; every other
+  // instance finished it. Faulted instances drop out of the shards and
+  // stay put until retired.
+  const Fault* first = nullptr;
+  size_t count = 0;
+  for (const std::vector<Fault>& faults : workerFaults_)
+    for (const Fault& f : faults) {
+      faulted_.insert(f.id);
+      ++count;
+      if (first == nullptr || f.id < first->id) first = &f;
+    }
+  if (first == nullptr) return;
+  shardsDirty_ = true;
+  const std::string message = strfmt(
+      "fleet instance %llu faulted in epoch %lld (%zu faulted this epoch): %s",
+      static_cast<unsigned long long>(first->id), static_cast<long long>(epoch),
+      count, first->message.c_str());
+  for (std::vector<Fault>& faults : workerFaults_) faults.clear();
+  throw Error(message);
 }
 
 // ---------------------------------------------------------- record/replay

@@ -20,16 +20,29 @@
 //     shards — an oversized shard (instances with heavier charts, or a
 //     retire-skewed distribution) is finished by whoever has idle cycles,
 //     so the barrier waits for the slowest chunk, not the slowest shard.
-//   - SoA batching (FleetConfig::soaBatching, default on): at epoch
-//     start each shard's CRs are packed into a cacheline-aligned
-//     structure-of-arrays arena (fleet/arena.hpp) and the batched SLA
-//     (sla/batch.hpp) decodes 2–4 instances per vector op. Lanes that
-//     select nothing — the dominant case for reactive populations, which
-//     are mostly quiescent between stimuli — complete their cycle through
-//     PscpMachine::applyQuiescentCycle without touching the scalar
-//     machinery; lanes with events, timers, observers or a non-empty
-//     selection fall back to the scalar step and are re-packed before
-//     their next batched decode. Both paths are bit-identical.
+//   - The quiescent skip (both stepping modes): once an instance's pure
+//     decode — no drained, pending or timer event and no sink attached —
+//     selects nothing, its CR cannot change before a hardware timer
+//     matures, so every remaining cycle of the epoch up to that maturity
+//     is the same idle cycle. PscpMachine::skipQuiescentCycles applies
+//     them in one step. An idle instance therefore costs one decode per
+//     epoch, not one per cycle; fleet.bulk_quiescent_cycles counts the
+//     cycles applied without a decode of their own.
+//   - SoA batching (FleetConfig::soaBatching, default on): each shard's
+//     CRs are packed into a cacheline-aligned structure-of-arrays arena
+//     (fleet/arena.hpp) and the batched SLA (sla/batch.hpp) decodes a
+//     lane group per pass, cycle-major. A lane that selects nothing — the
+//     dominant case for reactive populations, which are mostly quiescent
+//     between stimuli — takes the quiescent skip and is parked for the
+//     rest of the epoch without touching the scalar machinery; lanes with
+//     events, timers, observers or a non-empty selection fall back to the
+//     scalar step and are re-packed before their next batched decode.
+//     Both modes are bit-identical to stepping standalone machines cycle
+//     by cycle.
+//   - A routine fault (pscp::Error from the machine) ends only its own
+//     instance's epoch: the other instances finish theirs, then step()
+//     throws one Error naming the lowest faulted id. A faulted instance
+//     is not stepped again; retire it.
 //   - Event injection goes through a per-instance bounded SPSC queue.
 //     Producers never take a lock and never touch the stepping hot loop;
 //     the worker drains the queue at the first cycle of the instance's
@@ -71,6 +84,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -101,8 +115,10 @@ struct FleetConfig {
   /// Structure-of-arrays batched stepping (the default): each shard packs
   /// its instances' CRs into a contiguous lane arena and the vector-
   /// dispatched SLA (sla::BatchedSla, level from support/simd) decodes a
-  /// whole lane block per pass; lanes that select nothing take the
-  /// quiescent fast path without ever entering the scalar machine step.
+  /// whole lane block per pass; a lane that selects nothing is parked for
+  /// the rest of the epoch through the quiescent skip without ever
+  /// entering the scalar machine step. Off, every instance runs scalar
+  /// cycles and takes the same skip after a pure quiescent one.
   /// Bit-identical to the scalar path by contract — the fleet test suite
   /// diffs the two — so switching this off is purely a perf experiment
   /// (bench/fleet_throughput --no-soa sweeps both).
@@ -205,7 +221,11 @@ class Fleet {
   bool injectByName(InstanceId id, const std::string& eventName);
 
   // ------------------------------------------------------------- stepping
-  /// Advance every live instance by `cycles` configuration cycles.
+  /// Advance every live instance by `cycles` configuration cycles. When
+  /// routines fault, every other instance still completes the epoch, then
+  /// this throws one pscp::Error naming the lowest faulted instance id and
+  /// carrying its machine's message; faulted instances are skipped by
+  /// later epochs until retired.
   void step(int cycles = 1);
   [[nodiscard]] int64_t epochs() const {
     return epochs_.load(std::memory_order_relaxed);
@@ -227,7 +247,8 @@ class Fleet {
 
   /// Fold the per-worker metric registries into one report: counters
   /// fleet.config_cycles, fleet.machine_cycles, fleet.quiescent_cycles,
-  /// fleet.fired_transitions, fleet.bus_stall_cycles,
+  /// fleet.bulk_quiescent_cycles (the quiescent cycles the skip applied
+  /// without decoding them), fleet.fired_transitions, fleet.bus_stall_cycles,
   /// fleet.events_delivered, fleet.steal_chunks, fleet.epoch_tasks, plus
   /// the fleet.instance_cycles_per_epoch histogram.
   [[nodiscard]] obs::MetricsRegistry mergedMetrics() const;
@@ -305,6 +326,13 @@ class Fleet {
   void finishInstanceEpoch(Instance& inst, int cycles, int64_t epochMachineCycles,
                            int64_t epochFired, int64_t drainedCount,
                            WorkerLocal& local);
+  /// Fold `count` cycles, each as inst.stats describes, into the epoch
+  /// accumulators (count > 1 for a bulk quiescent skip).
+  static void foldCycles(Instance& inst, int64_t count, int64_t& epochMachineCycles,
+                         int64_t& epochFired, WorkerLocal& local);
+  /// After the barrier: take faulted instances out of stepping and throw
+  /// the lowest-id fault, if any.
+  void throwFaults(int64_t epoch);
   void workerLoop(size_t worker);
 
   ChartImagePtr image_;
@@ -319,6 +347,15 @@ class Fleet {
 
   std::vector<obs::MetricsRegistry> workerMetrics_;  // one per worker
   std::vector<WorkerMetricRefs> workerMetricRefs_;   // parallel to the above
+
+  // Routine faults caught this epoch, one list per worker, and the ids of
+  // every instance that faulted (left out of the shards until retired).
+  struct Fault {
+    InstanceId id;
+    std::string message;
+  };
+  std::vector<std::vector<Fault>> workerFaults_;
+  std::set<InstanceId> faulted_;
 
   // Telemetry plane (null / empty when config_.telemetry is false).
   std::unique_ptr<obs::FlightRecorder> flight_;

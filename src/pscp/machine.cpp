@@ -694,19 +694,29 @@ bool PscpMachine::nextCycleIsPureDecode() const {
   return true;
 }
 
-void PscpMachine::applyQuiescentCycle(CycleStats* statsOut) {
-  // Mirror of the chosen.empty() arm of configurationCycleIds for a
+int64_t PscpMachine::skipQuiescentCycles(int64_t n, CycleStats* statsOut) {
+  // k repetitions of the chosen.empty() arm of configurationCycleIds for a
   // no-event cycle: same counters, same timestamps, same scratch effects.
-  ++configCycles_;
+  // The first cycle at which a timer matures samples its event, so it is
+  // never part of the run.
+  int64_t k = n;
+  for (const Timer& t : timers_) {
+    const int64_t untilMature =
+        (t.nextFire - totalCycles_ + kSlaEvaluateCycles - 1) / kSlaEvaluateCycles;
+    k = std::min(k, std::max<int64_t>(untilMature, 0));
+  }
   CycleStats& stats = *statsOut;
   stats.fired.clear();
   stats.cycles = kSlaEvaluateCycles;
   stats.busStallCycles = 0;
   stats.quiescent = true;
+  if (k <= 0) return 0;
+  configCycles_ += k;
   activeSnapshotBits_ = activeBits_;
   busStallsThisCycle_ = 0;
-  totalCycles_ += stats.cycles;
+  totalCycles_ += k * kSlaEvaluateCycles;
   machineTimeNow_ = totalCycles_;
+  return k;
 }
 
 CycleStats PscpMachine::configurationCycleIds(

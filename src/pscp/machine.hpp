@@ -246,11 +246,12 @@ class PscpMachine : public tep::TepHost {
 
   // ------------------------------------------- batched stepping (src/fleet)
   // The fleet's SoA fast path evaluates many instances' SLA decodes in one
-  // vector pass, then applies the quiescent-cycle bookkeeping to every
-  // lane that selected nothing — bypassing configurationCycleIds entirely
-  // for the dominant idle case. These three members externalize exactly
-  // the state that path needs; any sequence of {batched quiescent cycle,
-  // scalar configurationCycleIds} is bit-identical to the all-scalar run.
+  // vector pass; a lane that selects nothing is parked for the rest of its
+  // epoch with one skipQuiescentCycles call, bypassing configurationCycleIds
+  // for the dominant idle case (the scalar fleet path takes the same skip
+  // after a pure quiescent cycle). These three members externalize exactly
+  // the state the fleet needs; any sequence of {bulk quiescent skip, scalar
+  // configurationCycleIds} is bit-identical to the all-scalar run.
 
   /// The packed CR. Between cycles the event bits are always clear (they
   /// live only inside the decode window), so when nextCycleIsPureDecode()
@@ -264,11 +265,19 @@ class PscpMachine : public tep::TepHost {
   /// (sinks see per-cycle callbacks the batched path does not emit).
   [[nodiscard]] bool nextCycleIsPureDecode() const;
 
-  /// Apply one quiescent configuration cycle without re-running the
-  /// decode: identical state/stats updates to configurationCycleIds when
-  /// the SLA selects nothing. Only valid when the caller has already
-  /// established that (batched decode over crBits() selected no lane).
-  void applyQuiescentCycle(CycleStats* stats);
+  /// Apply up to `n` quiescent configuration cycles without re-running the
+  /// decode, and return how many (k) were applied. Only valid when the
+  /// caller has established that a pure decode (nextCycleIsPureDecode())
+  /// of crBits() selects nothing: a quiescent cycle leaves the CR as it
+  /// was, so every following event-free cycle decodes the same CR to the
+  /// same empty selection until a hardware timer matures. k stops short of
+  /// that cycle: k = min(n, min over timers of
+  /// ceil((nextFire - totalCycles()) / kSlaEvaluateCycles)), 0 when a timer
+  /// has already matured. Counters, machine time and the configuration
+  /// snapshot end exactly as after k event-free configurationCycleIds
+  /// calls, and `stats` describes each of those (identical) cycles.
+  /// Allocation-free.
+  int64_t skipQuiescentCycles(int64_t n, CycleStats* stats);
 
   // ----------------------------------------------------- tiered execution
   // The native tier (src/tep/jit) runs compiled routines unless an

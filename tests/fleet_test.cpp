@@ -6,13 +6,16 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "actionlang/parser.hpp"
 #include "fleet/fleet.hpp"
 #include "fleet/spsc.hpp"
+#include "obs/journal/journal.hpp"
 #include "obs/metrics.hpp"
+#include "obs/sink.hpp"
 #include "pscp/machine.hpp"
 #include "statechart/parser.hpp"
 
@@ -449,6 +452,367 @@ TEST_F(FleetTest, StealingFleetMatchesSingleThreadWithSkewedShards) {
   const auto base = runSkewed(1);
   const auto threaded = runSkewed(4);
   ASSERT_EQ(base, threaded);
+}
+
+// ---------------------------------------------------------- quiescent skip
+
+// A chart built to park and wake: hardware timers (TMR, SLOW) wake an
+// idle instance mid-epoch, GO starts an internal-event chain (E1, then an
+// E2 nothing consumes, so the chain ends in a quiescent cycle), and FLAG
+// enables an event-free transition that only a condition write can
+// trigger. Every routine logs through one port, so the port log shows
+// exactly which cycle each wake-up landed on.
+const char* kSkipChart = R"chart(
+chart Skip;
+event GO; event E1; event E2; event TMR; event SLOW;
+condition FLAG;
+port Out data out width 8 address 0x21;
+
+orstate Top {
+  contains Idle, Busy;
+  default Idle;
+}
+basicstate Idle {
+  transition { target Idle; label "TMR/OnTmr()"; }
+  transition { target Idle; label "SLOW/OnSlow()"; }
+  transition { target Busy; label "GO/Go()"; }
+  transition { target Idle; label "[FLAG]/OnFlag()"; }
+}
+basicstate Busy {
+  transition { target Idle; label "E1/Step1()"; }
+}
+)chart";
+
+const char* kSkipActions = R"code(
+int:16 ticks;
+
+void OnTmr() { ticks = ticks + 1; write_port(Out, 1); }
+void OnSlow() { write_port(Out, 2); }
+void Go() { write_port(Out, 3); raise(E1); }
+void Step1() { write_port(Out, 4); raise(E2); }
+void OnFlag() { write_port(Out, 5); set_cond(FLAG, 0); }
+)code";
+
+constexpr size_t kSkipInstances = 13;
+constexpr int kSkipEpochs = 14;
+constexpr size_t kSinkInstance = 2;
+
+int skipEpochCycles(int epoch) { return epoch % 4 == 3 ? 5 : 8; }
+bool skipInjectsGo(size_t i, int epoch) { return i % 5 == 1 && epoch % 4 == 0; }
+bool skipSetsFlag(size_t i, int epoch) { return i % 3 == 0 && (epoch == 5 || epoch == 10); }
+/// Odd and even periods, so maturity lands on every in-epoch cycle index.
+int64_t skipTimerPeriod(size_t i) {
+  static const int64_t kPeriods[] = {7, 16, 31, 10, 33, 15, 64, 9, 20, 45, 11, 26, 3};
+  return kPeriods[i % (sizeof(kPeriods) / sizeof(kPeriods[0]))];
+}
+
+/// Counts cycles, so the instance it watches really is observed.
+struct CycleCountingSink : obs::ObsSink {
+  int64_t cycles = 0;
+  void onCycleEnd(int64_t, int64_t, int64_t, int, bool, int64_t) override { ++cycles; }
+};
+
+/// What the identity suite compares, per instance.
+struct SkipObserved {
+  std::vector<machine::PortWrite> portLog;
+  int64_t machineCycles = 0;
+  int64_t configCycles = 0;
+  int64_t quiescentCycles = 0;
+  std::vector<std::string> activeStates;
+  uint64_t crDigest = 0;
+
+  bool operator==(const SkipObserved&) const = default;
+};
+
+class QuiescentSkip : public ::testing::Test {
+ protected:
+  QuiescentSkip()
+      : chart_(statechart::parseChart(kSkipChart)),
+        actions_(actionlang::parseActionSource(kSkipActions)) {
+    hwlib::ArchConfig arch;
+    arch.numTeps = 2;
+    arch.dataWidth = 16;
+    image_ = std::make_shared<const machine::ChartImage>(chart_, actions_, arch);
+  }
+
+  /// Instance i of the script on a standalone machine stepped cycle by
+  /// cycle. `timerCycleSeen` collects, for every TMR fire, whether it fell
+  /// on the epoch's first cycle (bit 0), its last (bit 1) or between them
+  /// (bit 2).
+  SkipObserved runStandalone(size_t i, int* timerCycleSeen) const {
+    machine::PscpMachine m(image_);
+    CycleCountingSink sink;
+    if (i == kSinkInstance) m.setObsOptions({&sink});
+    if (i % 2 == 0) m.addTimer("TMR", skipTimerPeriod(i));
+    if (i % 4 == 1) m.addTimer("SLOW", 3 * skipTimerPeriod(i + 1) + 1);
+    SkipObserved out;
+    machine::CycleStats stats;
+    const std::vector<int> none;
+    for (int e = 0; e < kSkipEpochs; ++e) {
+      if (skipSetsFlag(i, e)) m.setCondition("FLAG", true);
+      const std::vector<int> go{m.eventId("GO")};
+      const int cycles = skipEpochCycles(e);
+      for (int c = 0; c < cycles; ++c) {
+        const size_t logged = m.portWrites().size();
+        m.configurationCycleIds(c == 0 && skipInjectsGo(i, e) ? go : none, &stats);
+        if (stats.quiescent) ++out.quiescentCycles;
+        for (size_t w = logged; w < m.portWrites().size(); ++w)
+          if (m.portWrites()[w].value == 1)
+            *timerCycleSeen |= c == 0 ? 1 : c == cycles - 1 ? 2 : 4;
+      }
+    }
+    out.portLog = m.portWrites();
+    out.machineCycles = m.totalCycles();
+    out.configCycles = m.configurationCycles();
+    out.activeStates = m.activeNames();
+    out.crDigest = obs::journal::crDigest(m.crBits());
+    if (i == kSinkInstance) EXPECT_EQ(sink.cycles, out.configCycles);
+    return out;
+  }
+
+  /// The same script on one fleet; `bulk` receives
+  /// fleet.bulk_quiescent_cycles.
+  std::vector<SkipObserved> runFleet(int workers, bool soa, int64_t* bulk) const {
+    FleetConfig config;
+    config.workerThreads = workers;
+    config.soaBatching = soa;
+    config.capturePortWrites = true;
+    config.stealChunk = 2;
+    Fleet fleet(image_, config);
+    const std::vector<InstanceId> ids = fleet.spawnMany(kSkipInstances);
+    CycleCountingSink sink;
+    fleet.machine(ids[kSinkInstance]).setObsOptions({&sink});
+    for (size_t i = 0; i < kSkipInstances; ++i) {
+      if (i % 2 == 0) fleet.addTimer(ids[i], "TMR", skipTimerPeriod(i));
+      if (i % 4 == 1) fleet.addTimer(ids[i], "SLOW", 3 * skipTimerPeriod(i + 1) + 1);
+    }
+    for (int e = 0; e < kSkipEpochs; ++e) {
+      for (size_t i = 0; i < kSkipInstances; ++i) {
+        if (skipSetsFlag(i, e)) fleet.setCondition(ids[i], "FLAG", true);
+        if (skipInjectsGo(i, e)) EXPECT_TRUE(fleet.injectByName(ids[i], "GO"));
+      }
+      fleet.step(skipEpochCycles(e));
+    }
+    std::vector<SkipObserved> out;
+    for (InstanceId id : ids) {
+      const InstanceSnapshot snap = fleet.snapshot(id);
+      SkipObserved o;
+      o.portLog = fleet.portWrites(id);
+      o.machineCycles = snap.machineCycles;
+      o.configCycles = snap.configCycles;
+      o.quiescentCycles = snap.quiescentCycles;
+      o.activeStates = snap.activeStates;
+      o.crDigest = obs::journal::crDigest(fleet.machine(id).crBits());
+      EXPECT_EQ(o.machineCycles, fleet.machine(id).totalCycles());
+      EXPECT_EQ(o.configCycles, fleet.machine(id).configurationCycles());
+      out.push_back(std::move(o));
+    }
+    EXPECT_EQ(sink.cycles, out[kSinkInstance].configCycles);
+    *bulk = fleet.mergedMetrics().value("fleet.bulk_quiescent_cycles");
+    return out;
+  }
+
+  statechart::Chart chart_;
+  actionlang::Program actions_;
+  Fleet::ChartImagePtr image_;
+};
+
+TEST_F(QuiescentSkip, FleetMatchesStandaloneMachinesCycleByCycle) {
+  int timerCycleSeen = 0;
+  std::vector<SkipObserved> reference;
+  for (size_t i = 0; i < kSkipInstances; ++i)
+    reference.push_back(runStandalone(i, &timerCycleSeen));
+  // The script reaches every case the skip must stop short of.
+  ASSERT_EQ(timerCycleSeen, 7) << "timer maturity must land on an epoch's "
+                                  "first cycle, its last and one in between";
+  std::set<uint32_t> values;
+  for (const SkipObserved& r : reference)
+    for (const machine::PortWrite& w : r.portLog) values.insert(w.value);
+  ASSERT_EQ(values, (std::set<uint32_t>{1, 2, 3, 4, 5}))
+      << "timers, the event chain and the condition write must all fire";
+
+  for (const bool soa : {true, false}) {
+    for (const int workers : {1, 2, 4}) {
+      int64_t bulk = 0;
+      const std::vector<SkipObserved> run = runFleet(workers, soa, &bulk);
+      EXPECT_GT(bulk, 0) << "the skip must actually apply cycles in bulk";
+      for (size_t i = 0; i < kSkipInstances; ++i)
+        ASSERT_EQ(run[i], reference[i])
+            << "instance " << i << " diverged at " << workers << " workers, soa "
+            << soa;
+    }
+  }
+}
+
+TEST_F(QuiescentSkip, SkipStopsShortOfTheNextTimerMaturity) {
+  machine::PscpMachine m(image_);
+  m.addTimer("TMR", 7);   // matures at machine time 7: the cycle starting at 8
+  m.addTimer("SLOW", 30);
+  machine::CycleStats stats;
+  ASSERT_TRUE(m.nextCycleIsPureDecode());
+  EXPECT_EQ(m.skipQuiescentCycles(100, &stats), 4);  // cycles at 0, 2, 4, 6
+  EXPECT_EQ(m.totalCycles(), 8);
+  EXPECT_EQ(m.configurationCycles(), 4);
+  EXPECT_TRUE(stats.quiescent);
+  EXPECT_EQ(stats.cycles, 2);
+  EXPECT_FALSE(m.nextCycleIsPureDecode());
+  EXPECT_EQ(m.skipQuiescentCycles(100, &stats), 0) << "a matured timer stops it";
+  m.configurationCycleIds({}, &stats);  // TMR fires
+  EXPECT_EQ(stats.fired.size(), 1u);
+
+  machine::PscpMachine untimed(image_);
+  EXPECT_EQ(untimed.skipQuiescentCycles(3, &stats), 3) << "capped by n";
+  EXPECT_EQ(untimed.totalCycles(), 6);
+  EXPECT_EQ(untimed.skipQuiescentCycles(0, &stats), 0);
+}
+
+TEST_F(QuiescentSkip, MergedMetricsCountBulkAppliedCycles) {
+  // Idle instances without timers: each epoch decodes cycle 0 and applies
+  // the other cycles - 1 in bulk, in both stepping modes.
+  constexpr int kInstances = 9;
+  constexpr int kEpochs = 6;
+  constexpr int kCycles = 8;
+  for (const bool soa : {true, false}) {
+    FleetConfig config;
+    config.workerThreads = 2;
+    config.soaBatching = soa;
+    Fleet fleet(image_, config);
+    const std::vector<InstanceId> ids = fleet.spawnMany(kInstances);
+    // One GO per epoch on instance 0: its chain runs three non-pure
+    // cycles (GO, E1, E2), then it parks like the others.
+    for (int e = 0; e < kEpochs; ++e) {
+      fleet.injectByName(ids[0], "GO");
+      fleet.step(kCycles);
+    }
+    const obs::MetricsRegistry merged = fleet.mergedMetrics();
+    const int64_t quiescent = merged.value("fleet.quiescent_cycles");
+    const int64_t bulk = merged.value("fleet.bulk_quiescent_cycles");
+    EXPECT_LE(bulk, quiescent);
+    const int64_t idleBulk = (kInstances - 1) * kEpochs * (kCycles - 1);
+    const int64_t chainBulk = kEpochs * (kCycles - 4);  // after its decode at cycle 3
+    EXPECT_EQ(bulk, idleBulk + chainBulk) << "soa " << soa;
+    EXPECT_EQ(quiescent, (kInstances - 1) * kEpochs * kCycles +
+                             kEpochs * (kCycles - 2))
+        << "soa " << soa;
+  }
+}
+
+// ------------------------------------------------------------ routine faults
+
+// One state, one routine that writes external RAM at an input-port index:
+// an index past the external window faults with the unmapped-address
+// diagnostic.
+const char* kFaultChart = R"chart(
+chart Poker;
+event POKE;
+port Index data in width 16 address 0x10;
+port Out data out width 8 address 0x11;
+
+orstate Top {
+  contains Ready;
+  default Ready;
+}
+basicstate Ready {
+  transition { target Ready; label "POKE/Poke()"; }
+}
+)chart";
+
+const char* kFaultActions = R"code(
+uint:8 ext[4];
+uint:8 pokes;
+
+void Poke() {
+  ext[read_port(Index)] = 1;
+  pokes = pokes + 1;
+  write_port(Out, pokes);
+}
+)code";
+
+class RoutineFault : public ::testing::Test {
+ protected:
+  RoutineFault()
+      : chart_(statechart::parseChart(kFaultChart)),
+        actions_(actionlang::parseActionSource(kFaultActions)) {
+    hwlib::ArchConfig arch;
+    arch.dataWidth = 16;
+    image_ = std::make_shared<const machine::ChartImage>(chart_, actions_, arch);
+    const int32_t ext = image_->app().globalPlacement.at("ext").address;
+    pastWindow_ = static_cast<uint32_t>(tep::kExternalBase + tep::kExternalSize - ext);
+  }
+
+  statechart::Chart chart_;
+  actionlang::Program actions_;
+  Fleet::ChartImagePtr image_;
+  uint32_t pastWindow_ = 0;
+};
+
+TEST_F(RoutineFault, OneFaultingInstanceLeavesTheOthersUntouched) {
+  constexpr int kEpochs = 6;
+  constexpr size_t kFaulty = 2;  // 1 of 4 instances
+  for (const bool soa : {true, false}) {
+    for (const int workers : {1, 2}) {
+      // withFaulty: four instances, the third pokes past the window from
+      // epoch 2 on. Without it: the three healthy ones alone.
+      auto run = [&](bool withFaulty, std::vector<std::string>* errors) {
+        FleetConfig config;
+        config.workerThreads = workers;
+        config.soaBatching = soa;
+        config.capturePortWrites = true;
+        config.stealChunk = 1;
+        Fleet fleet(image_, config);
+        std::vector<InstanceId> healthy;
+        InstanceId faulty = 0;
+        for (size_t k = 0; k < 4; ++k) {
+          if (k != kFaulty)
+            healthy.push_back(fleet.spawn());
+          else if (withFaulty)
+            faulty = fleet.spawn();
+        }
+        for (int e = 0; e < kEpochs; ++e) {
+          for (InstanceId id : healthy) {
+            fleet.setInputPort(id, "Index", static_cast<uint32_t>(e % 4));
+            fleet.injectByName(id, "POKE");
+          }
+          if (withFaulty) {
+            fleet.setInputPort(faulty, "Index", e >= 2 ? pastWindow_ : 0);
+            fleet.injectByName(faulty, "POKE");
+          }
+          try {
+            fleet.step(3);
+          } catch (const Error& err) {
+            errors->push_back(err.what());
+          }
+        }
+        std::vector<std::pair<std::vector<machine::PortWrite>, InstanceSnapshot>> out;
+        for (InstanceId id : healthy)
+          out.emplace_back(fleet.portWrites(id), fleet.snapshot(id));
+        if (withFaulty) {
+          EXPECT_TRUE(fleet.isLive(faulty));
+          EXPECT_EQ(fleet.snapshot(faulty).firedTransitions, 2)
+              << "a faulted instance is not stepped again";
+          fleet.retire(faulty);
+          fleet.step(1);  // retiring it leaves a fleet that steps cleanly
+        }
+        return out;
+      };
+      std::vector<std::string> errors;
+      std::vector<std::string> noErrors;
+      const auto mixed = run(true, &errors);
+      const auto clean = run(false, &noErrors);
+      EXPECT_TRUE(noErrors.empty());
+      ASSERT_EQ(errors.size(), 1u) << "one throw, in the epoch that faulted";
+      EXPECT_EQ(errors[0], "fleet instance 2 faulted in epoch 3 (1 faulted this "
+                           "epoch): PSCP: data write to unmapped address 0x8000")
+          << workers << " workers, soa " << soa;
+      ASSERT_EQ(mixed.size(), clean.size());
+      for (size_t k = 0; k < mixed.size(); ++k) {
+        EXPECT_EQ(mixed[k].first, clean[k].first) << "healthy instance " << k;
+        EXPECT_EQ(mixed[k].second.machineCycles, clean[k].second.machineCycles);
+        EXPECT_EQ(mixed[k].second.quiescentCycles, clean[k].second.quiescentCycles);
+        EXPECT_EQ(mixed[k].second.firedTransitions, kEpochs);
+      }
+    }
+  }
 }
 
 }  // namespace
