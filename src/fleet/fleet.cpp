@@ -8,10 +8,7 @@
 #include <mutex>
 #include <thread>
 
-#include "fleet/arena.hpp"
 #include "support/diag.hpp"
-#include "support/hostinfo.hpp"
-#include "support/simd.hpp"
 
 namespace pscp::fleet {
 
@@ -21,8 +18,8 @@ namespace {
 const std::vector<int> kNoEvents;
 
 // Shard::nextCycle of a lane whose routine faulted this epoch: later than
-// any cycle, so the batched loop never steps it again and skips its
-// epoch fold.
+// any cycle, so the chunk loop never steps it again and skips its epoch
+// fold.
 constexpr int kFaultedLane = INT_MAX;
 
 // Bucket bounds for the per-instance machine-cycles-per-epoch histogram;
@@ -65,21 +62,13 @@ struct Fleet::Instance {
 struct Fleet::Shard {
   std::vector<Instance*> members;
 
-  // SoA batching state (sized in rebuildShards, untouched when the fleet
-  // runs with soaBatching off). A lane's arena row is valid when its
-  // dirty flag is clear; scalar fallback cycles set it again. Writes are
-  // lane-disjoint, so stealing workers never race even when a steal
-  // boundary splits a cacheline.
-  ShardArena arena;
-  std::vector<uint8_t> arenaDirty;
-  // Per-lane epoch accumulators for the cycle-major batched loop (the
-  // scalar path keeps these in locals; cycle-major order needs them to
-  // survive across the cycle loop).
+  // Per-lane epoch state of the cycle-major chunk loop, indexed like
+  // members. Writes are lane-disjoint, so stealing workers never race.
   std::vector<int64_t> epochMachineCycles;
   std::vector<int64_t> epochFired;
-  // The epoch cycle at which each lane is next stepped. A lane whose
-  // decode selected nothing jumps past the quiescent cycles applied in
-  // bulk; until then it is parked: neither re-packed nor decoded.
+  // The epoch cycle at which each lane is next stepped. A lane that went
+  // idle jumps past the cycles skipIdleCycles applied at once; until then
+  // it is parked.
   std::vector<int> nextCycle;
 
   alignas(64) std::atomic<size_t> cursor{0};
@@ -171,9 +160,6 @@ Fleet::Fleet(ChartImagePtr image, FleetConfig config)
   PSCP_ASSERT(image_ != nullptr);
   if (config_.workerThreads < 1) config_.workerThreads = 1;
   if (config_.stealChunk < 1) config_.stealChunk = 1;
-  // A lane group yields one uint64 selection bitmask; 0 = auto (whole
-  // group per decode pass).
-  if (config_.batchWidth < 1 || config_.batchWidth > 64) config_.batchWidth = 64;
   workerCount_ = static_cast<size_t>(config_.workerThreads);
   workerMetrics_.resize(workerCount_);
   workerMetricRefs_.resize(workerCount_);
@@ -206,8 +192,6 @@ Fleet::Fleet(ChartImagePtr image, FleetConfig config)
     journal_->setEventQueueCapacity(
         static_cast<int64_t>(config_.eventQueueCapacity));
     journal_->setRecordedWorkers(config_.workerThreads);
-    journal_->setRecordedSoa(config_.soaBatching);
-    journal_->setSimdLevel(simdLevelName(activeSimdLevel()));
   }
   if (workerCount_ > 1) {
     pool_ = std::make_unique<Pool>();
@@ -297,10 +281,8 @@ void Fleet::rebuildShards() {
   shards_.reserve(workerCount_);
   for (size_t w = 0; w < workerCount_; ++w)
     shards_.push_back(std::make_unique<Shard>());
-  // Contiguous block placement (cache-aware): shard w owns a consecutive
-  // run of live instances, so its SoA arena lanes are stepped in spawn
-  // order by one worker streaming one contiguous buffer — round-robin
-  // placement would interleave every shard's lanes through memory.
+  // Contiguous block placement: shard w owns a consecutive run of live
+  // instances in spawn order, so a worker's own chunks are neighbours.
   std::vector<Instance*> live;
   live.reserve(instances_.size());
   for (const auto& inst : instances_)
@@ -314,47 +296,11 @@ void Fleet::rebuildShards() {
     shard.members.assign(live.begin() + static_cast<ptrdiff_t>(next),
                          live.begin() + static_cast<ptrdiff_t>(next + take));
     next += take;
-    if (config_.soaBatching) {
-      const size_t crWords =
-          (static_cast<size_t>(image_->layout().totalBits()) + 63) / 64;
-      shard.arena.resize(shard.members.size(), crWords);
-      shard.arenaDirty.assign(shard.members.size(), 1);
-      shard.epochMachineCycles.assign(shard.members.size(), 0);
-      shard.epochFired.assign(shard.members.size(), 0);
-      shard.nextCycle.assign(shard.members.size(), 0);
-    }
+    shard.epochMachineCycles.assign(shard.members.size(), 0);
+    shard.epochFired.assign(shard.members.size(), 0);
+    shard.nextCycle.assign(shard.members.size(), 0);
   }
   shardsDirty_ = false;
-}
-
-void Fleet::stepInstance(Instance& inst, int cycles, WorkerLocal& local) {
-  // Deliver everything injected before this epoch at its first cycle.
-  inst.drained.clear();
-  int32_t event = 0;
-  while (inst.queue.tryPop(&event)) inst.drained.push_back(event);
-  const int64_t drainedCount = static_cast<int64_t>(inst.drained.size());
-  inst.eventsDelivered += drainedCount;
-  local.eventsDelivered += drainedCount;
-
-  int64_t epochMachineCycles = 0;
-  int64_t epochFired = 0;
-  for (int c = 0; c < cycles; ++c) {
-    const bool pure =
-        (c > 0 || inst.drained.empty()) && inst.machine.nextCycleIsPureDecode();
-    inst.machine.configurationCycleIds(c == 0 ? inst.drained : kNoEvents,
-                                       &inst.stats);
-    foldCycles(inst, 1, epochMachineCycles, epochFired, local);
-    if (pure && inst.stats.quiescent) {
-      // The quiescent skip: the rest of the epoch repeats this cycle until
-      // a timer matures (the same rule as the batched path's parking).
-      const int64_t k = inst.machine.skipQuiescentCycles(cycles - c - 1, &inst.stats);
-      foldCycles(inst, k, epochMachineCycles, epochFired, local);
-      local.bulkQuiescentCycles += k;
-      c += static_cast<int>(k);
-    }
-  }
-  finishInstanceEpoch(inst, cycles, epochMachineCycles, epochFired, drainedCount,
-                      local);
 }
 
 void Fleet::foldCycles(Instance& inst, int64_t count, int64_t& epochMachineCycles,
@@ -409,13 +355,9 @@ void Fleet::finishInstanceEpoch(Instance& inst, int cycles,
   inst.machine.clearPortWrites();
 }
 
-void Fleet::stepChunkBatched(Shard& shard, size_t begin, size_t end, int cycles,
-                             WorkerLocal& local) {
-  const sla::BatchedSla& batched = image_->batchedSla();
-  const sla::CrSoa soa = shard.arena.view();
-  const size_t group = static_cast<size_t>(config_.batchWidth);
-
-  // Epoch-start drain, same delivery point as the scalar path (cycle 0).
+void Fleet::stepChunk(Shard& shard, size_t begin, size_t end, int cycles,
+                      WorkerLocal& local) {
+  // Deliver everything injected before this epoch at its first cycle.
   for (size_t i = begin; i < end; ++i) {
     Instance& inst = *shard.members[i];
     inst.drained.clear();
@@ -429,70 +371,41 @@ void Fleet::stepChunkBatched(Shard& shard, size_t begin, size_t end, int cycles,
     shard.nextCycle[i] = 0;
   }
 
-  // Cycle-major over lane groups: one vector decode answers "who selects
-  // anything" for the whole group, and only lanes with work (a non-empty
-  // selection, pending/drained events, a matured timer, an observer)
-  // enter the scalar machine step. A lane whose decode selects nothing is
-  // parked: skipQuiescentCycles applies this and every following idle
-  // cycle up to the next timer maturity at once, and the lane is neither
-  // re-packed nor decoded again before its next-cycle index. The cycle
-  // loop resumes at the lowest index any lane of the chunk waits on, so a
-  // chunk that went idle at cycle 0 costs one decode per lane per epoch.
-  // A lane's arena row is packed lazily — once on first eligibility, and
-  // again only after a scalar fallback cycle dirtied it.
+  // Cycle-major over the chunk's lanes. Before each event-free cycle a
+  // lane tries skipIdleCycles: an idle lane applies this and every
+  // following idle cycle up to the next timer maturity at once, and is
+  // parked until its next-cycle index. Only a lane with work runs a
+  // configuration cycle. The cycle loop resumes at the lowest index any
+  // lane waits on, so a chunk that stays idle costs one pass per epoch.
   for (int c = 0; c < cycles;) {
     int next = cycles;
-    for (size_t g = begin; g < end; g += group) {
-      const size_t gEnd = std::min(g + group, end);
-      uint64_t due = 0;
-      uint64_t eligible = 0;
-      for (size_t i = g; i < gEnd; ++i) {
-        if (shard.nextCycle[i] != c) {
-          next = std::min(next, shard.nextCycle[i]);
+    for (size_t i = begin; i < end; ++i) {
+      if (shard.nextCycle[i] != c) {
+        next = std::min(next, shard.nextCycle[i]);
+        continue;
+      }
+      Instance& inst = *shard.members[i];
+      const bool external = c == 0 && !inst.drained.empty();
+      bool decoded = false;
+      const int64_t k =
+          external ? 0 : inst.machine.skipIdleCycles(cycles - c, &inst.stats, &decoded);
+      if (k > 0) {
+        foldCycles(inst, k, shard.epochMachineCycles[i], shard.epochFired[i], local);
+        local.bulkQuiescentCycles += decoded ? k - 1 : k;
+        shard.nextCycle[i] = c + static_cast<int>(k);
+      } else {
+        try {
+          inst.machine.configurationCycleIds(external ? inst.drained : kNoEvents,
+                                             &inst.stats);
+        } catch (const Error& e) {
+          local.faults->push_back({inst.id, e.what()});
+          shard.nextCycle[i] = kFaultedLane;
           continue;
         }
-        const uint64_t bit = uint64_t{1} << (i - g);
-        due |= bit;
-        Instance& inst = *shard.members[i];
-        if (c == 0 && !inst.drained.empty()) continue;
-        if (!inst.machine.nextCycleIsPureDecode()) continue;
-        eligible |= bit;
-        if (shard.arenaDirty[i] != 0) {
-          shard.arena.pack(i, inst.machine.crBits());
-          shard.arenaDirty[i] = 0;
-        }
+        foldCycles(inst, 1, shard.epochMachineCycles[i], shard.epochFired[i], local);
+        shard.nextCycle[i] = c + 1;
       }
-      // Ineligible lanes may hold stale rows; the kernel reads them (the
-      // block is evaluated whole) but their selection bits are ignored.
-      const uint64_t selected =
-          eligible == 0 ? 0 : batched.selectedLanes(soa, g, gEnd - g);
-      for (size_t i = g; i < gEnd; ++i) {
-        const uint64_t bit = uint64_t{1} << (i - g);
-        if ((due & bit) == 0) continue;
-        Instance& inst = *shard.members[i];
-        if ((eligible & bit) != 0 && (selected & bit) == 0) {
-          const int64_t k =
-              inst.machine.skipQuiescentCycles(cycles - c, &inst.stats);
-          foldCycles(inst, k, shard.epochMachineCycles[i], shard.epochFired[i],
-                     local);
-          local.bulkQuiescentCycles += k - 1;  // the first one was decoded
-          shard.nextCycle[i] = c + static_cast<int>(k);
-        } else {
-          try {
-            inst.machine.configurationCycleIds(c == 0 ? inst.drained : kNoEvents,
-                                               &inst.stats);
-          } catch (const Error& e) {
-            local.faults->push_back({inst.id, e.what()});
-            shard.nextCycle[i] = kFaultedLane;
-            continue;
-          }
-          shard.arenaDirty[i] = 1;
-          foldCycles(inst, 1, shard.epochMachineCycles[i], shard.epochFired[i],
-                     local);
-          shard.nextCycle[i] = c + 1;
-        }
-        next = std::min(next, shard.nextCycle[i]);
-      }
+      next = std::min(next, shard.nextCycle[i]);
     }
     c = next;
   }
@@ -542,18 +455,7 @@ void Fleet::runWorkerEpoch(size_t worker, int cycles, int64_t epoch) {
       const size_t begin = shard.cursor.fetch_add(chunk, std::memory_order_relaxed);
       if (begin >= shard.members.size()) break;
       const size_t end = std::min(begin + chunk, shard.members.size());
-      if (config_.soaBatching) {
-        stepChunkBatched(shard, begin, end, cycles, local);
-      } else {
-        for (size_t i = begin; i < end; ++i) {
-          Instance& inst = *shard.members[i];
-          try {
-            stepInstance(inst, cycles, local);
-          } catch (const Error& e) {
-            local.faults->push_back({inst.id, e.what()});
-          }
-        }
-      }
+      stepChunk(shard, begin, end, cycles, local);
       if (offset != 0) {
         ++local.stealChunks;
         if (local.ring != nullptr)
@@ -620,7 +522,6 @@ void Fleet::runWorkerEpoch(size_t worker, int cycles, int64_t epoch) {
 }
 
 void Fleet::workerLoop(size_t worker) {
-  if (config_.pinWorkers) pinCurrentThreadToCpu(static_cast<int>(worker));
   uint64_t seen = 0;
   for (;;) {
     int cycles = 0;
@@ -742,9 +643,6 @@ void Fleet::setCondition(InstanceId id, const std::string& conditionName,
                          bool value) {
   Instance& inst = liveInstance(id);
   inst.machine.setCondition(conditionName, value);
-  // The write went straight into the CR; any packed SoA row for this lane
-  // is now stale, so force a shard rebuild before the next epoch.
-  shardsDirty_ = true;
   if (journal_ != nullptr)
     journal_->recordSetCondition(static_cast<int64_t>(id),
                                  image_->layout().conditionBit(conditionName),
@@ -768,7 +666,6 @@ void Fleet::warmCycle(InstanceId id, const std::vector<int>& eventBits) {
     inst.portLog.insert(inst.portLog.end(), writes.begin(), writes.end());
   }
   inst.machine.clearPortWrites();
-  shardsDirty_ = true;  // the cycle rewrote the CR; see setCondition()
   if (journal_ != nullptr)
     journal_->recordWarmCycle(static_cast<int64_t>(id), eventBits);
 }

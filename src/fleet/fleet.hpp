@@ -5,40 +5,33 @@
 // bank, every SMD placement head, every protocol endpoint is its own
 // statechart instance over the same compiled chart. The Fleet owns N
 // independent PscpMachine instances spawned from one shared ChartImage
-// (compile once, instantiate thousands) and steps them in batches across
+// (compile once, instantiate thousands) and steps them in chunks across
 // a fixed-size worker-thread pool.
 //
 // Execution model
 //   - step(cycles) is one *epoch*: every live instance advances exactly
 //     `cycles` configuration cycles, then a barrier completes the epoch.
 //   - Instances are statically sharded across workers in contiguous
-//     blocks (by spawn order): a shard's members are neighbours in its
-//     SoA arena, so one worker streams one contiguous arena instead of
-//     interleaving with every other shard's cachelines. Within an epoch
-//     each worker drains its own shard in fixed-size chunks claimed
-//     through an atomic cursor, then steals remaining chunks from other
-//     shards — an oversized shard (instances with heavier charts, or a
-//     retire-skewed distribution) is finished by whoever has idle cycles,
-//     so the barrier waits for the slowest chunk, not the slowest shard.
-//   - The quiescent skip (both stepping modes): once an instance's pure
-//     decode — no drained, pending or timer event and no sink attached —
-//     selects nothing, its CR cannot change before a hardware timer
+//     blocks (by spawn order). Within an epoch each worker drains its own
+//     shard in fixed-size chunks claimed through an atomic cursor, then
+//     steals remaining chunks from other shards — an oversized shard
+//     (instances with heavier charts, or a retire-skewed distribution) is
+//     finished by whoever has idle cycles, so the barrier waits for the
+//     slowest chunk, not the slowest shard.
+//   - A chunk is stepped cycle-major: drain every lane's queue, then run
+//     cycle c for every lane due at c, then the next cycle any lane waits
+//     on, then fold each lane's epoch. Before every event-free cycle a
+//     lane calls PscpMachine::skipIdleCycles. Once an instance's CR
+//     decodes to nothing and no pending, drained or timer event and no
+//     sink is in play, its CR cannot change before a hardware timer
 //     matures, so every remaining cycle of the epoch up to that maturity
-//     is the same idle cycle. PscpMachine::skipQuiescentCycles applies
-//     them in one step. An idle instance therefore costs one decode per
-//     epoch, not one per cycle; fleet.bulk_quiescent_cycles counts the
-//     cycles applied without a decode of their own.
-//   - SoA batching (FleetConfig::soaBatching, default on): each shard's
-//     CRs are packed into a cacheline-aligned structure-of-arrays arena
-//     (fleet/arena.hpp) and the batched SLA (sla/batch.hpp) decodes a
-//     lane group per pass, cycle-major. A lane that selects nothing — the
-//     dominant case for reactive populations, which are mostly quiescent
-//     between stimuli — takes the quiescent skip and is parked for the
-//     rest of the epoch without touching the scalar machinery; lanes with
-//     events, timers, observers or a non-empty selection fall back to the
-//     scalar step and are re-packed before their next batched decode.
-//     Both modes are bit-identical to stepping standalone machines cycle
-//     by cycle.
+//     is the same idle cycle; the machine applies them in one step and
+//     the lane is parked. The machine remembers that its CR selects
+//     nothing until the CR is next written, so an instance that stays
+//     idle costs no SLA decode at all in later epochs.
+//     fleet.bulk_quiescent_cycles counts the cycles applied without a
+//     decode of their own. Stepping is bit-identical to running
+//     standalone machines cycle by cycle.
 //   - A routine fault (pscp::Error from the machine) ends only its own
 //     instance's epoch: the other instances finish theirs, then step()
 //     throws one Error naming the lowest faulted id. A faulted instance
@@ -78,7 +71,7 @@
 // control-plane op and every delivered event is appended to a
 // pscp-journal-v1 log with periodic CR-digest checkpoints, from which
 // obs/journal/replay.hpp re-executes the run bit-identically at any
-// worker count or stepping mode. See obs/journal/journal.hpp.
+// worker count or tier mode. See obs/journal/journal.hpp.
 #pragma once
 
 #include <atomic>
@@ -108,30 +101,8 @@ struct FleetConfig {
   /// Per-instance event-queue capacity (rounded up to a power of two).
   size_t eventQueueCapacity = 256;
   /// Instances per work-stealing chunk. Smaller = finer load balance,
-  /// larger = less cursor traffic. Multiples of 8 keep chunk boundaries on
-  /// SoA-arena cacheline boundaries (8 lanes × 8 B), so two workers never
-  /// share a line across a steal boundary.
+  /// larger = less cursor traffic.
   size_t stealChunk = 8;
-  /// Structure-of-arrays batched stepping (the default): each shard packs
-  /// its instances' CRs into a contiguous lane arena and the vector-
-  /// dispatched SLA (sla::BatchedSla, level from support/simd) decodes a
-  /// whole lane block per pass; a lane that selects nothing is parked for
-  /// the rest of the epoch through the quiescent skip without ever
-  /// entering the scalar machine step. Off, every instance runs scalar
-  /// cycles and takes the same skip after a pure quiescent one.
-  /// Bit-identical to the scalar path by contract — the fleet test suite
-  /// diffs the two — so switching this off is purely a perf experiment
-  /// (bench/fleet_throughput --no-soa sweeps both).
-  bool soaBatching = true;
-  /// Lanes per batched decode group, 1..64; 0 = auto (64: one selection
-  /// bitmask per group, amortizing the term loop over the whole chunk).
-  /// Only meaningful with soaBatching; bench --batch-width sweeps it.
-  int batchWidth = 0;
-  /// Pin pool worker w to logical CPU w (Linux; best-effort). Stops the
-  /// scheduler migrating workers mid-epoch, which on multi-socket or
-  /// many-core hosts costs both cache warmth and the scaling curve.
-  /// Ignored when workerThreads == 1 (the caller owns that thread).
-  bool pinWorkers = false;
   /// Keep per-instance port-write logs across epochs (drained from the
   /// machine each epoch; read/clear via portWrites()/clearPortWrites()).
   /// Off by default: a throughput fleet discards writes each epoch so
@@ -141,8 +112,8 @@ struct FleetConfig {
   /// Native-tier mode applied to every instance (default: the process-wide
   /// PSCP_JIT setting). Serial-equivalent configuration cycles then run
   /// compiled TEP routines — bit-identical to the interpreter by contract
-  /// (tests/tep_jit_test.cpp diffs the two across worker counts and
-  /// batching modes), so this is purely a perf knob.
+  /// (tests/tep_jit_test.cpp diffs the two across worker counts), so this
+  /// is purely a perf knob.
   tep::jit::JitMode jitMode = tep::jit::jitModeFromEnv();
   /// Routine executions before jitMode == kAuto promotes a routine.
   int64_t jitThreshold = tep::jit::kDefaultJitThreshold;
@@ -234,8 +205,7 @@ class Fleet {
   // ----------------------------------------------------------- inspection
   /// Direct access to an instance's machine (between epochs only). For
   /// *mutation*, prefer the journaled wrappers below: writes made here are
-  /// not recorded, and CR writes (setCondition and the like) can leave a
-  /// stale SoA arena row behind the batched decode's back.
+  /// not recorded.
   [[nodiscard]] machine::PscpMachine& machine(InstanceId id);
   [[nodiscard]] const machine::PscpMachine& machine(InstanceId id) const;
   [[nodiscard]] InstanceSnapshot snapshot(InstanceId id) const;
@@ -287,10 +257,9 @@ class Fleet {
 
   /// Journaled machine-control surface: same effect as the corresponding
   /// PscpMachine calls through machine(id), but logged so a replay
-  /// reproduces them, and SoA-safe (they mark the shard arenas stale, so
-  /// batched decode never reads a CR row mutated behind its back).
-  /// Replayable runs must route all pre-/inter-epoch machine mutation
-  /// through these — direct machine() writes are invisible to the journal.
+  /// reproduces them. Replayable runs must route all pre-/inter-epoch
+  /// machine mutation through these — direct machine() writes are
+  /// invisible to the journal.
   void setInputPort(InstanceId id, const std::string& portName, uint32_t value);
   void setInputPort(InstanceId id, int portAddress, uint32_t value);
   void setCondition(InstanceId id, const std::string& conditionName, bool value);
@@ -316,18 +285,16 @@ class Fleet {
   [[nodiscard]] const Instance& liveInstance(InstanceId id) const;
   void rebuildShards();
   void runWorkerEpoch(size_t worker, int cycles, int64_t epoch);
-  void stepInstance(Instance& inst, int cycles, WorkerLocal& local);
-  /// SoA fast path: step one claimed chunk of a shard cycle-major, vector
-  /// decode per lane group, scalar fallback for non-quiescent lanes.
-  void stepChunkBatched(Shard& shard, size_t begin, size_t end, int cycles,
-                        WorkerLocal& local);
-  /// Per-lane epoch bookkeeping shared by both stepping paths (counter
-  /// fold, telemetry records, port-write capture).
+  /// Step one claimed chunk of a shard through the epoch, cycle-major.
+  void stepChunk(Shard& shard, size_t begin, size_t end, int cycles,
+                 WorkerLocal& local);
+  /// Per-lane epoch bookkeeping (counter fold, telemetry records,
+  /// port-write capture).
   void finishInstanceEpoch(Instance& inst, int cycles, int64_t epochMachineCycles,
                            int64_t epochFired, int64_t drainedCount,
                            WorkerLocal& local);
   /// Fold `count` cycles, each as inst.stats describes, into the epoch
-  /// accumulators (count > 1 for a bulk quiescent skip).
+  /// accumulators (count > 1 for an idle skip).
   static void foldCycles(Instance& inst, int64_t count, int64_t& epochMachineCycles,
                          int64_t& epochFired, WorkerLocal& local);
   /// After the barrier: take faulted instances out of stepping and throw

@@ -96,7 +96,6 @@ ChartImage::ChartImage(const statechart::Chart& chart,
       arch_(arch),
       layout_(chart),
       sla_(chart, layout_),
-      batched_(sla_),
       binding_(sla::makeBinding(chart, layout_)),
       app_(compiler::Compiler(actions, binding_, arch_, options).compile(chart)),
       microcode_(app_.program, arch_) {
@@ -361,11 +360,13 @@ PscpMachine::~PscpMachine() = default;
 // --------------------------------------------------- incremental CR upkeep
 
 void PscpMachine::applyActive(StateId s, bool active) {
+  idleCr_ = false;
   applyActiveTo(chart_, layout_, s, active, activeBits_, fieldCode_, cr_);
 }
 
 void PscpMachine::setCrCondition(int index, bool value) {
   PSCP_ASSERT(index >= 0 && index < layout_.conditionCount());
+  idleCr_ = false;
   crConditions_[static_cast<size_t>(index)] = value ? 1 : 0;
   cr_.set(layout_.conditionBase() + index, value);
 }
@@ -694,6 +695,18 @@ bool PscpMachine::nextCycleIsPureDecode() const {
   return true;
 }
 
+int64_t PscpMachine::skipIdleCycles(int64_t n, CycleStats* stats, bool* decoded) {
+  if (decoded != nullptr) *decoded = false;
+  if (!nextCycleIsPureDecode()) return 0;
+  if (!idleCr_) {
+    if (decoded != nullptr) *decoded = true;
+    sla_.selectInto(cr_, selectScratch_);
+    if (!selectScratch_.empty()) return 0;
+    idleCr_ = true;
+  }
+  return skipQuiescentCycles(n, stats);
+}
+
 int64_t PscpMachine::skipQuiescentCycles(int64_t n, CycleStats* statsOut) {
   // k repetitions of the chosen.empty() arm of configurationCycleIds for a
   // no-event cycle: same counters, same timestamps, same scratch effects.
@@ -728,6 +741,7 @@ CycleStats PscpMachine::configurationCycleIds(
 
 void PscpMachine::configurationCycleIds(const std::vector<int>& externalEventIds,
                                         CycleStats* statsOut) {
+  idleCr_ = false;
   ++configCycles_;
   CycleStats& stats = *statsOut;
   stats.fired.clear();

@@ -61,7 +61,6 @@
 
 #include "compiler/codegen.hpp"
 #include "obs/sink.hpp"
-#include "sla/batch.hpp"
 #include "sla/sla.hpp"
 #include "statechart/semantics.hpp"
 #include "support/bits.hpp"
@@ -114,9 +113,6 @@ class ChartImage {
   [[nodiscard]] const hwlib::ArchConfig& arch() const { return arch_; }
   [[nodiscard]] const sla::CrLayout& layout() const { return layout_; }
   [[nodiscard]] const sla::Sla& sla() const { return sla_; }
-  /// SoA/SIMD compilation of the same array (fleet batched stepping);
-  /// kernel level latched from support/simd at image build.
-  [[nodiscard]] const sla::BatchedSla& batchedSla() const { return batched_; }
   [[nodiscard]] const compiler::HardwareBinding& binding() const { return binding_; }
   [[nodiscard]] const compiler::CompiledApp& app() const { return app_; }
 
@@ -186,7 +182,6 @@ class ChartImage {
   hwlib::ArchConfig arch_;
   sla::CrLayout layout_;
   sla::Sla sla_;
-  sla::BatchedSla batched_;
   compiler::HardwareBinding binding_;
   compiler::CompiledApp app_;
 
@@ -244,40 +239,26 @@ class PscpMachine : public tep::TepHost {
   void configurationCycleIds(const std::vector<int>& externalEventIds,
                              CycleStats* stats);
 
-  // ------------------------------------------- batched stepping (src/fleet)
-  // The fleet's SoA fast path evaluates many instances' SLA decodes in one
-  // vector pass; a lane that selects nothing is parked for the rest of its
-  // epoch with one skipQuiescentCycles call, bypassing configurationCycleIds
-  // for the dominant idle case (the scalar fleet path takes the same skip
-  // after a pure quiescent cycle). These three members externalize exactly
-  // the state the fleet needs; any sequence of {bulk quiescent skip, scalar
-  // configurationCycleIds} is bit-identical to the all-scalar run.
-
   /// The packed CR. Between cycles the event bits are always clear (they
-  /// live only inside the decode window), so when nextCycleIsPureDecode()
-  /// holds this is byte-for-byte what the SLA would sample for a cycle
-  /// with no external events.
+  /// live only inside the decode window).
   [[nodiscard]] const BitVec& crBits() const { return cr_; }
 
-  /// True when a configuration cycle with no external events would reach
-  /// the SLA decode with the CR exactly as crBits() reads now: no pending
-  /// internal events, no matured hardware timer, no attached observer
-  /// (sinks see per-cycle callbacks the batched path does not emit).
-  [[nodiscard]] bool nextCycleIsPureDecode() const;
-
-  /// Apply up to `n` quiescent configuration cycles without re-running the
-  /// decode, and return how many (k) were applied. Only valid when the
-  /// caller has established that a pure decode (nextCycleIsPureDecode())
-  /// of crBits() selects nothing: a quiescent cycle leaves the CR as it
-  /// was, so every following event-free cycle decodes the same CR to the
-  /// same empty selection until a hardware timer matures. k stops short of
-  /// that cycle: k = min(n, min over timers of
-  /// ceil((nextFire - totalCycles()) / kSlaEvaluateCycles)), 0 when a timer
-  /// has already matured. Counters, machine time and the configuration
-  /// snapshot end exactly as after k event-free configurationCycleIds
-  /// calls, and `stats` describes each of those (identical) cycles.
-  /// Allocation-free.
-  int64_t skipQuiescentCycles(int64_t n, CycleStats* stats);
+  /// Apply up to `n` idle configuration cycles at once, starting with the
+  /// next one, and return how many (k) were applied; 0 when the next cycle
+  /// may do anything but decode the CR to an empty selection. The fleet
+  /// steps through this before every cycle that has no external events.
+  /// An idle cycle leaves the CR as it was, so every following event-free
+  /// cycle decodes the same CR to the same empty selection until a
+  /// hardware timer matures: k = min(n, min over timers of
+  /// ceil((nextFire - totalCycles()) / kSlaEvaluateCycles)). A memo
+  /// remembers that the current CR selects nothing until the CR is next
+  /// written, so the decode runs only on the first call after a write and
+  /// a parked instance costs no decode per epoch. `*decoded` reports
+  /// whether this call ran it.
+  /// Counters, machine time and the configuration snapshot end exactly as
+  /// after k event-free configurationCycleIds calls, and `stats`
+  /// describes each of those (identical) cycles. Allocation-free.
+  int64_t skipIdleCycles(int64_t n, CycleStats* stats, bool* decoded = nullptr);
 
   // ----------------------------------------------------- tiered execution
   // The native tier (src/tep/jit) runs compiled routines unless an
@@ -430,6 +411,15 @@ class PscpMachine : public tep::TepHost {
   /// Append a port write to the log (and the observer), stamped with the
   /// current machine time, TEP and routine.
   void logPortWrite(int address, uint32_t value);
+  /// True when a configuration cycle with no external events would reach
+  /// the SLA decode with the CR exactly as crBits() reads now: no pending
+  /// internal events, no matured hardware timer, no attached observer
+  /// (sinks see per-cycle callbacks a skipped cycle does not emit).
+  [[nodiscard]] bool nextCycleIsPureDecode() const;
+  /// Apply min(n, cycles until the next timer maturity) quiescent cycles
+  /// without decoding; the caller has established that a pure decode of
+  /// crBits() selects nothing.
+  int64_t skipQuiescentCycles(int64_t n, CycleStats* stats);
 
   std::shared_ptr<const ChartImage> image_;
   // Aliases into the image, so the cycle logic reads image data with the
@@ -453,6 +443,11 @@ class PscpMachine : public tep::TepHost {
   /// bits live only between sampling and SLA selection; condition bits
   /// track crConditions_; state fields track activeBits_.
   BitVec cr_;
+  /// Set when cr_ is known to decode to an empty selection (skipIdleCycles
+  /// decoded it); cleared by every write to cr_: applyActive,
+  /// setCrCondition and event sampling in configurationCycleIds, which
+  /// never reads it.
+  bool idleCr_ = false;
   /// Internal events raised since the last sampling: a dedup bitset plus
   /// the raise-ordered list (both reused across cycles, never freed).
   BitVec pendingEventBits_;

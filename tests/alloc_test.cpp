@@ -195,8 +195,7 @@ TEST(SteadyStateAllocations, HotCycleLoopIsAllocationFree) {
 // health updates are plain atomics. One worker, stepped inline, so every
 // allocation in the loop is attributable to the fleet hot path. The
 // epochs are long enough, and half the instances carry a hardware timer,
-// so both stepping modes run through the quiescent skip, parking and
-// waking mid-epoch.
+// so the loop runs through the idle skip, parking and waking mid-epoch.
 TEST(SteadyStateAllocations, FleetEpochLoopIsAllocationFreeWhenArmed) {
   const statechart::Chart chart = statechart::parseChart(kChart);
   const actionlang::Program actions = actionlang::parseActionSource(kActions);
@@ -208,43 +207,40 @@ TEST(SteadyStateAllocations, FleetEpochLoopIsAllocationFreeWhenArmed) {
   arch.registerFileSize = 12;
   const auto image = std::make_shared<const ChartImage>(chart, actions, arch);
 
-  for (const bool soa : {true, false}) {
-    fleet::FleetConfig config;
-    config.workerThreads = 1;
-    config.telemetry = true;
-    config.soaBatching = soa;
-    config.flightRecordsPerShard = 128;  // small ring: the loop laps it
-    fleet::Fleet f(image, config);
-    const std::vector<fleet::InstanceId> ids = f.spawnMany(16);
-    const int go = f.eventId("GO");
-    const int tick = f.eventId("TICK");
-    for (fleet::InstanceId id : ids) {
-      f.machine(id).setCondition("ARMED", true);
-      f.machine(id).setInputPort("Sense", 0);
-      if (id % 2 == 0) f.addTimer(id, "TICK", 9 + static_cast<int64_t>(id));
-      f.inject(id, go);
-    }
-    // Warm-up epochs grow every lazily-sized buffer to steady state.
-    f.step(1);
-    for (int e = 0; e < 32; ++e) {
-      for (fleet::InstanceId id : ids) f.inject(id, tick);
-      f.step(8);
-    }
-
-    const int64_t bulkBefore = f.mergedMetrics().value("fleet.bulk_quiescent_cycles");
-    const uint64_t before = gAllocations.load(std::memory_order_relaxed);
-    for (int e = 0; e < 200; ++e) {
-      for (fleet::InstanceId id : ids) f.inject(id, tick);
-      f.step(8);
-    }
-    const uint64_t after = gAllocations.load(std::memory_order_relaxed);
-
-    EXPECT_EQ(after - before, 0u)
-        << "armed fleet epochs must not allocate in steady state, soa " << soa;
-    EXPECT_GT(f.flightRecorder()->ring(0).pushed(), 200u);
-    EXPECT_GT(f.mergedMetrics().value("fleet.bulk_quiescent_cycles"), bulkBefore)
-        << "the measured epochs must run through the quiescent skip";
+  fleet::FleetConfig config;
+  config.workerThreads = 1;
+  config.telemetry = true;
+  config.flightRecordsPerShard = 128;  // small ring: the loop laps it
+  fleet::Fleet f(image, config);
+  const std::vector<fleet::InstanceId> ids = f.spawnMany(16);
+  const int go = f.eventId("GO");
+  const int tick = f.eventId("TICK");
+  for (fleet::InstanceId id : ids) {
+    f.machine(id).setCondition("ARMED", true);
+    f.machine(id).setInputPort("Sense", 0);
+    if (id % 2 == 0) f.addTimer(id, "TICK", 9 + static_cast<int64_t>(id));
+    f.inject(id, go);
   }
+  // Warm-up epochs grow every lazily-sized buffer to steady state.
+  f.step(1);
+  for (int e = 0; e < 32; ++e) {
+    for (fleet::InstanceId id : ids) f.inject(id, tick);
+    f.step(8);
+  }
+
+  const int64_t bulkBefore = f.mergedMetrics().value("fleet.bulk_quiescent_cycles");
+  const uint64_t before = gAllocations.load(std::memory_order_relaxed);
+  for (int e = 0; e < 200; ++e) {
+    for (fleet::InstanceId id : ids) f.inject(id, tick);
+    f.step(8);
+  }
+  const uint64_t after = gAllocations.load(std::memory_order_relaxed);
+
+  EXPECT_EQ(after - before, 0u)
+      << "armed fleet epochs must not allocate in steady state";
+  EXPECT_GT(f.flightRecorder()->ring(0).pushed(), 200u);
+  EXPECT_GT(f.mergedMetrics().value("fleet.bulk_quiescent_cycles"), bulkBefore)
+      << "the measured epochs must run through the quiescent skip";
 }
 
 // The record/replay journal holds the bar too: armed appends are plain

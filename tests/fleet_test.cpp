@@ -279,15 +279,31 @@ struct ScriptedRun {
   std::vector<InstanceSnapshot> snapshots;
 };
 
+/// One epoch of instance `i`'s script: the Sense value and the events
+/// injected, in order (advances the instance's LCG state `s`).
+uint32_t scriptEpoch(uint64_t& s, int go, int stop, int tick, std::vector<int>* events) {
+  s = s * 6364136223846793005ull + 1442695040888963407ull;
+  const uint32_t roll = static_cast<uint32_t>(s >> 33) % 100;
+  events->clear();
+  if (roll < 25) {
+    events->push_back(go);
+  } else if (roll < 75) {
+    events->push_back(tick);
+    if (roll % 2 == 0) events->push_back(tick);  // queued duplicate
+  } else if (roll < 90) {
+    events->push_back(stop);
+  }
+  return static_cast<uint32_t>((s >> 16) & 3);
+}
+
+uint64_t scriptSeed(size_t i) { return 0x9E3779B97F4A7C15ull * (i + 1); }
+
 ScriptedRun runScriptedFleet(const Fleet::ChartImagePtr& image, int workers,
-                             size_t instances, int epochs, bool soa = true,
-                             int batchWidth = 0) {
+                             size_t instances, int epochs) {
   FleetConfig config;
   config.workerThreads = workers;
   config.capturePortWrites = true;
   config.stealChunk = 4;
-  config.soaBatching = soa;
-  config.batchWidth = batchWidth;
   Fleet fleet(image, config);
   const std::vector<InstanceId> ids = fleet.spawnMany(instances);
   const int go = fleet.eventId("GO");
@@ -295,24 +311,15 @@ ScriptedRun runScriptedFleet(const Fleet::ChartImagePtr& image, int workers,
   const int tick = fleet.eventId("TICK");
 
   std::vector<uint64_t> rng(instances);
-  for (size_t i = 0; i < instances; ++i) rng[i] = 0x9E3779B97F4A7C15ull * (i + 1);
+  for (size_t i = 0; i < instances; ++i) rng[i] = scriptSeed(i);
 
+  std::vector<int> events;
   for (int epoch = 0; epoch < epochs; ++epoch) {
     for (size_t i = 0; i < instances; ++i) {
-      uint64_t& s = rng[i];
-      s = s * 6364136223846793005ull + 1442695040888963407ull;
-      const uint32_t roll = static_cast<uint32_t>(s >> 33) % 100;
+      const uint32_t sense = scriptEpoch(rng[i], go, stop, tick, &events);
       fleet.machine(ids[i]).setCondition("ARMED", true);  // re-arm every epoch
-      fleet.machine(ids[i]).setInputPort("Sense",
-                                         static_cast<uint32_t>((s >> 16) & 3));
-      if (roll < 25) {
-        fleet.inject(ids[i], go);
-      } else if (roll < 75) {
-        fleet.inject(ids[i], tick);
-        if (roll % 2 == 0) fleet.inject(ids[i], tick);  // queued duplicate
-      } else if (roll < 90) {
-        fleet.inject(ids[i], stop);
-      }
+      fleet.machine(ids[i]).setInputPort("Sense", sense);
+      for (const int event : events) fleet.inject(ids[i], event);
     }
     fleet.step(2);
   }
@@ -355,49 +362,66 @@ TEST_F(FleetTest, PortWriteLogsAreBitIdenticalAcrossWorkerCounts) {
   }
 }
 
-TEST_F(FleetTest, SoaBatchedSteppingIsBitIdenticalToAosStepping) {
-  // The SoA fast path (pack CRs into the shard arena, evaluate the
-  // BatchedSla kernel, apply quiescent cycles in bulk) must be
-  // indistinguishable from per-instance AoS stepping: same port-write
-  // logs, same cycle counts, same active states. 37 instances leaves a
-  // tail under every vector width and batch width below.
+TEST_F(FleetTest, SteppingIsBitIdenticalToStandaloneMachines) {
+  // The chunked, cycle-major fleet loop with its idle skip must be
+  // indistinguishable from stepping each instance's script on a standalone
+  // machine cycle by cycle: same port-write logs, same cycle counts, same
+  // active states. 37 instances leaves a tail under the 4-lane chunks.
   constexpr size_t kInstances = 37;
   constexpr int kEpochs = 20;
-  const ScriptedRun aos =
-      runScriptedFleet(image_, 1, kInstances, kEpochs, /*soa=*/false);
+  ScriptedRun reference;
+  for (size_t i = 0; i < kInstances; ++i) {
+    machine::PscpMachine m(image_);
+    const int go = m.eventId("GO");
+    const int stop = m.eventId("STOP");
+    const int tick = m.eventId("TICK");
+    uint64_t rng = scriptSeed(i);
+    std::vector<int> events;
+    const std::vector<int> none;
+    machine::CycleStats stats;
+    InstanceSnapshot snap;
+    for (int epoch = 0; epoch < kEpochs; ++epoch) {
+      const uint32_t sense = scriptEpoch(rng, go, stop, tick, &events);
+      m.setCondition("ARMED", true);
+      m.setInputPort("Sense", sense);
+      for (int c = 0; c < 2; ++c) {
+        m.configurationCycleIds(c == 0 ? events : none, &stats);
+        snap.firedTransitions += static_cast<int64_t>(stats.fired.size());
+      }
+    }
+    snap.machineCycles = m.totalCycles();
+    snap.activeStates = m.activeNames();
+    reference.portLogs.push_back(m.portWrites());
+    reference.snapshots.push_back(snap);
+  }
 
   int64_t totalWrites = 0;
   for (size_t i = 0; i < kInstances; ++i)
-    totalWrites += static_cast<int64_t>(aos.portLogs[i].size());
+    totalWrites += static_cast<int64_t>(reference.portLogs[i].size());
   ASSERT_GT(totalWrites, 0) << "script must actually exercise port writes";
 
   for (const int workers : {1, 3}) {
-    for (const int batchWidth : {1, 3, 64}) {
-      const ScriptedRun soa = runScriptedFleet(image_, workers, kInstances,
-                                               kEpochs, /*soa=*/true, batchWidth);
-      for (size_t i = 0; i < kInstances; ++i) {
-        ASSERT_EQ(soa.portLogs[i], aos.portLogs[i])
-            << "SoA diverged from AoS for instance " << i << " at "
-            << workers << " workers, batch width " << batchWidth;
-        ASSERT_EQ(soa.snapshots[i].machineCycles, aos.snapshots[i].machineCycles)
-            << "instance " << i << " batch width " << batchWidth;
-        ASSERT_EQ(soa.snapshots[i].firedTransitions,
-                  aos.snapshots[i].firedTransitions);
-        ASSERT_EQ(soa.snapshots[i].activeStates, aos.snapshots[i].activeStates);
-      }
+    const ScriptedRun run = runScriptedFleet(image_, workers, kInstances, kEpochs);
+    for (size_t i = 0; i < kInstances; ++i) {
+      ASSERT_EQ(run.portLogs[i], reference.portLogs[i])
+          << "fleet diverged from its standalone machine for instance " << i
+          << " at " << workers << " workers";
+      ASSERT_EQ(run.snapshots[i].machineCycles, reference.snapshots[i].machineCycles)
+          << "instance " << i;
+      ASSERT_EQ(run.snapshots[i].firedTransitions,
+                reference.snapshots[i].firedTransitions);
+      ASSERT_EQ(run.snapshots[i].activeStates, reference.snapshots[i].activeStates);
     }
   }
 }
 
-TEST_F(FleetTest, RetirementHolesKeepSoaAndAosIdentical) {
-  // Retiring instances mid-run forces shard rebuilds (block placement
-  // re-packs the arena) and leaves shards of unequal size; the batched
-  // path must still match AoS exactly.
-  auto runHoles = [&](bool soa) {
+TEST_F(FleetTest, RetirementHolesKeepWorkerCountsIdentical) {
+  // Retiring instances mid-run forces shard rebuilds and leaves shards of
+  // unequal size; two workers must still match one exactly.
+  auto runHoles = [&](int workers) {
     FleetConfig config;
-    config.workerThreads = 2;
+    config.workerThreads = workers;
     config.capturePortWrites = true;
-    config.soaBatching = soa;
     Fleet fleet(image_, config);
     const std::vector<InstanceId> ids = fleet.spawnMany(24);
     std::vector<std::vector<machine::PortWrite>> logs;
@@ -418,7 +442,7 @@ TEST_F(FleetTest, RetirementHolesKeepSoaAndAosIdentical) {
       if (fleet.isLive(id)) logs.push_back(fleet.portWrites(id));
     return logs;
   };
-  ASSERT_EQ(runHoles(true), runHoles(false));
+  ASSERT_EQ(runHoles(2), runHoles(1));
 }
 
 TEST_F(FleetTest, StealingFleetMatchesSingleThreadWithSkewedShards) {
@@ -572,10 +596,9 @@ class QuiescentSkip : public ::testing::Test {
 
   /// The same script on one fleet; `bulk` receives
   /// fleet.bulk_quiescent_cycles.
-  std::vector<SkipObserved> runFleet(int workers, bool soa, int64_t* bulk) const {
+  std::vector<SkipObserved> runFleet(int workers, int64_t* bulk) const {
     FleetConfig config;
     config.workerThreads = workers;
-    config.soaBatching = soa;
     config.capturePortWrites = true;
     config.stealChunk = 2;
     Fleet fleet(image_, config);
@@ -631,16 +654,13 @@ TEST_F(QuiescentSkip, FleetMatchesStandaloneMachinesCycleByCycle) {
   ASSERT_EQ(values, (std::set<uint32_t>{1, 2, 3, 4, 5}))
       << "timers, the event chain and the condition write must all fire";
 
-  for (const bool soa : {true, false}) {
-    for (const int workers : {1, 2, 4}) {
-      int64_t bulk = 0;
-      const std::vector<SkipObserved> run = runFleet(workers, soa, &bulk);
-      EXPECT_GT(bulk, 0) << "the skip must actually apply cycles in bulk";
-      for (size_t i = 0; i < kSkipInstances; ++i)
-        ASSERT_EQ(run[i], reference[i])
-            << "instance " << i << " diverged at " << workers << " workers, soa "
-            << soa;
-    }
+  for (const int workers : {1, 2, 4}) {
+    int64_t bulk = 0;
+    const std::vector<SkipObserved> run = runFleet(workers, &bulk);
+    EXPECT_GT(bulk, 0) << "the skip must actually apply cycles in bulk";
+    for (size_t i = 0; i < kSkipInstances; ++i)
+      ASSERT_EQ(run[i], reference[i])
+          << "instance " << i << " diverged at " << workers << " workers";
   }
 }
 
@@ -649,52 +669,113 @@ TEST_F(QuiescentSkip, SkipStopsShortOfTheNextTimerMaturity) {
   m.addTimer("TMR", 7);   // matures at machine time 7: the cycle starting at 8
   m.addTimer("SLOW", 30);
   machine::CycleStats stats;
-  ASSERT_TRUE(m.nextCycleIsPureDecode());
-  EXPECT_EQ(m.skipQuiescentCycles(100, &stats), 4);  // cycles at 0, 2, 4, 6
+  EXPECT_EQ(m.skipIdleCycles(100, &stats), 4);  // cycles at 0, 2, 4, 6
   EXPECT_EQ(m.totalCycles(), 8);
   EXPECT_EQ(m.configurationCycles(), 4);
   EXPECT_TRUE(stats.quiescent);
   EXPECT_EQ(stats.cycles, 2);
-  EXPECT_FALSE(m.nextCycleIsPureDecode());
-  EXPECT_EQ(m.skipQuiescentCycles(100, &stats), 0) << "a matured timer stops it";
+  EXPECT_EQ(m.skipIdleCycles(100, &stats), 0) << "a matured timer stops it";
   m.configurationCycleIds({}, &stats);  // TMR fires
   EXPECT_EQ(stats.fired.size(), 1u);
 
   machine::PscpMachine untimed(image_);
-  EXPECT_EQ(untimed.skipQuiescentCycles(3, &stats), 3) << "capped by n";
+  EXPECT_EQ(untimed.skipIdleCycles(3, &stats), 3) << "capped by n";
   EXPECT_EQ(untimed.totalCycles(), 6);
-  EXPECT_EQ(untimed.skipQuiescentCycles(0, &stats), 0);
+  EXPECT_EQ(untimed.skipIdleCycles(0, &stats), 0);
+
+  machine::PscpMachine observed(image_);
+  CycleCountingSink sink;
+  observed.setObsOptions({&sink});
+  EXPECT_EQ(observed.skipIdleCycles(3, &stats), 0) << "an observer sees every cycle";
+}
+
+TEST_F(QuiescentSkip, EveryCrWriterMakesTheNextSkipDecodeAgain) {
+  // The idle memo caches "this CR selects nothing"; each way the CR can
+  // change after an idle skip must make the next skip decode again.
+  machine::PscpMachine m(image_);
+  machine::CycleStats stats;
+  bool decoded = false;
+  ASSERT_EQ(m.skipIdleCycles(4, &stats, &decoded), 4);
+  EXPECT_TRUE(decoded) << "the first skip decodes the CR";
+  ASSERT_EQ(m.skipIdleCycles(4, &stats, &decoded), 4);
+  EXPECT_FALSE(decoded) << "an unchanged CR is not decoded again";
+
+  // 1. A write from outside the machine: FLAG enables OnFlag.
+  m.setCondition("FLAG", true);
+  EXPECT_EQ(m.skipIdleCycles(4, &stats, &decoded), 0);
+  EXPECT_TRUE(decoded);
+  // 2. A routine's condition write-back: OnFlag clears FLAG (and updates
+  //    the configuration), after which the CR is idle again.
+  m.configurationCycleIds({}, &stats);
+  ASSERT_EQ(stats.fired.size(), 1u);
+  EXPECT_FALSE(m.conditionValue("FLAG"));
+  EXPECT_EQ(m.skipIdleCycles(4, &stats, &decoded), 4);
+  EXPECT_TRUE(decoded);
+  // 3. A configuration update: GO moves Idle -> Busy; the E1/E2 chain
+  //    holds the next two cycles, then the new CR is decoded once more.
+  m.configurationCycleIds({m.eventId("GO")}, &stats);
+  EXPECT_TRUE(m.isActive("Busy"));
+  EXPECT_EQ(m.skipIdleCycles(4, &stats, &decoded), 0) << "E1 is pending";
+  EXPECT_FALSE(decoded);
+  m.configurationCycleIds({}, &stats);  // E1: Busy -> Idle, raises E2
+  m.configurationCycleIds({}, &stats);  // E2: consumed by nothing
+  EXPECT_TRUE(stats.quiescent);
+  EXPECT_EQ(m.skipIdleCycles(4, &stats, &decoded), 4);
+  EXPECT_TRUE(decoded);
+}
+
+TEST_F(QuiescentSkip, DirectConditionWriteWakesAParkedInstance) {
+  // A write through machine(id) bypasses the journaled wrappers; the
+  // parked instance must still see it at the next epoch, exactly like a
+  // standalone machine does.
+  FleetConfig config;
+  config.capturePortWrites = true;
+  Fleet fleet(image_, config);
+  const InstanceId id = fleet.spawn();
+  fleet.step(8);
+  fleet.step(8);
+  fleet.machine(id).setCondition("FLAG", true);
+  fleet.step(8);
+
+  machine::PscpMachine reference(image_);
+  machine::CycleStats stats;
+  for (int c = 0; c < 16; ++c) reference.configurationCycleIds({}, &stats);
+  reference.setCondition("FLAG", true);
+  for (int c = 0; c < 8; ++c) reference.configurationCycleIds({}, &stats);
+  ASSERT_EQ(reference.portWrites().size(), 1u);
+  EXPECT_EQ(reference.portWrites()[0].value, 5u);
+  EXPECT_EQ(fleet.portWrites(id), reference.portWrites())
+      << "OnFlag's port write must appear in the third epoch";
 }
 
 TEST_F(QuiescentSkip, MergedMetricsCountBulkAppliedCycles) {
-  // Idle instances without timers: each epoch decodes cycle 0 and applies
-  // the other cycles - 1 in bulk, in both stepping modes.
+  // Idle instances without timers: the first epoch decodes cycle 0 and
+  // applies the other cycles - 1 without a decode of their own; the CR
+  // stays unchanged, so every later epoch applies all its cycles without
+  // one.
   constexpr int kInstances = 9;
   constexpr int kEpochs = 6;
   constexpr int kCycles = 8;
-  for (const bool soa : {true, false}) {
-    FleetConfig config;
-    config.workerThreads = 2;
-    config.soaBatching = soa;
-    Fleet fleet(image_, config);
-    const std::vector<InstanceId> ids = fleet.spawnMany(kInstances);
-    // One GO per epoch on instance 0: its chain runs three non-pure
-    // cycles (GO, E1, E2), then it parks like the others.
-    for (int e = 0; e < kEpochs; ++e) {
-      fleet.injectByName(ids[0], "GO");
-      fleet.step(kCycles);
-    }
-    const obs::MetricsRegistry merged = fleet.mergedMetrics();
-    const int64_t quiescent = merged.value("fleet.quiescent_cycles");
-    const int64_t bulk = merged.value("fleet.bulk_quiescent_cycles");
-    EXPECT_LE(bulk, quiescent);
-    const int64_t idleBulk = (kInstances - 1) * kEpochs * (kCycles - 1);
-    const int64_t chainBulk = kEpochs * (kCycles - 4);  // after its decode at cycle 3
-    EXPECT_EQ(bulk, idleBulk + chainBulk) << "soa " << soa;
-    EXPECT_EQ(quiescent, (kInstances - 1) * kEpochs * kCycles +
-                             kEpochs * (kCycles - 2))
-        << "soa " << soa;
+  FleetConfig config;
+  config.workerThreads = 2;
+  Fleet fleet(image_, config);
+  const std::vector<InstanceId> ids = fleet.spawnMany(kInstances);
+  // One GO per epoch on instance 0: its chain runs three non-pure
+  // cycles (GO, E1, E2), then it parks like the others.
+  for (int e = 0; e < kEpochs; ++e) {
+    fleet.injectByName(ids[0], "GO");
+    fleet.step(kCycles);
   }
+  const obs::MetricsRegistry merged = fleet.mergedMetrics();
+  const int64_t quiescent = merged.value("fleet.quiescent_cycles");
+  const int64_t bulk = merged.value("fleet.bulk_quiescent_cycles");
+  EXPECT_LE(bulk, quiescent);
+  const int64_t idleBulk =
+      (kInstances - 1) * ((kCycles - 1) + (kEpochs - 1) * kCycles);
+  const int64_t chainBulk = kEpochs * (kCycles - 4);  // after its decode at cycle 3
+  EXPECT_EQ(bulk, idleBulk + chainBulk);
+  EXPECT_EQ(quiescent, (kInstances - 1) * kEpochs * kCycles +
+                           kEpochs * (kCycles - 2));
 }
 
 // ------------------------------------------------------------ routine faults
@@ -749,68 +830,65 @@ class RoutineFault : public ::testing::Test {
 TEST_F(RoutineFault, OneFaultingInstanceLeavesTheOthersUntouched) {
   constexpr int kEpochs = 6;
   constexpr size_t kFaulty = 2;  // 1 of 4 instances
-  for (const bool soa : {true, false}) {
-    for (const int workers : {1, 2}) {
-      // withFaulty: four instances, the third pokes past the window from
-      // epoch 2 on. Without it: the three healthy ones alone.
-      auto run = [&](bool withFaulty, std::vector<std::string>* errors) {
-        FleetConfig config;
-        config.workerThreads = workers;
-        config.soaBatching = soa;
-        config.capturePortWrites = true;
-        config.stealChunk = 1;
-        Fleet fleet(image_, config);
-        std::vector<InstanceId> healthy;
-        InstanceId faulty = 0;
-        for (size_t k = 0; k < 4; ++k) {
-          if (k != kFaulty)
-            healthy.push_back(fleet.spawn());
-          else if (withFaulty)
-            faulty = fleet.spawn();
-        }
-        for (int e = 0; e < kEpochs; ++e) {
-          for (InstanceId id : healthy) {
-            fleet.setInputPort(id, "Index", static_cast<uint32_t>(e % 4));
-            fleet.injectByName(id, "POKE");
-          }
-          if (withFaulty) {
-            fleet.setInputPort(faulty, "Index", e >= 2 ? pastWindow_ : 0);
-            fleet.injectByName(faulty, "POKE");
-          }
-          try {
-            fleet.step(3);
-          } catch (const Error& err) {
-            errors->push_back(err.what());
-          }
-        }
-        std::vector<std::pair<std::vector<machine::PortWrite>, InstanceSnapshot>> out;
-        for (InstanceId id : healthy)
-          out.emplace_back(fleet.portWrites(id), fleet.snapshot(id));
-        if (withFaulty) {
-          EXPECT_TRUE(fleet.isLive(faulty));
-          EXPECT_EQ(fleet.snapshot(faulty).firedTransitions, 2)
-              << "a faulted instance is not stepped again";
-          fleet.retire(faulty);
-          fleet.step(1);  // retiring it leaves a fleet that steps cleanly
-        }
-        return out;
-      };
-      std::vector<std::string> errors;
-      std::vector<std::string> noErrors;
-      const auto mixed = run(true, &errors);
-      const auto clean = run(false, &noErrors);
-      EXPECT_TRUE(noErrors.empty());
-      ASSERT_EQ(errors.size(), 1u) << "one throw, in the epoch that faulted";
-      EXPECT_EQ(errors[0], "fleet instance 2 faulted in epoch 3 (1 faulted this "
-                           "epoch): PSCP: data write to unmapped address 0x8000")
-          << workers << " workers, soa " << soa;
-      ASSERT_EQ(mixed.size(), clean.size());
-      for (size_t k = 0; k < mixed.size(); ++k) {
-        EXPECT_EQ(mixed[k].first, clean[k].first) << "healthy instance " << k;
-        EXPECT_EQ(mixed[k].second.machineCycles, clean[k].second.machineCycles);
-        EXPECT_EQ(mixed[k].second.quiescentCycles, clean[k].second.quiescentCycles);
-        EXPECT_EQ(mixed[k].second.firedTransitions, kEpochs);
+  for (const int workers : {1, 2}) {
+    // withFaulty: four instances, the third pokes past the window from
+    // epoch 2 on. Without it: the three healthy ones alone.
+    auto run = [&](bool withFaulty, std::vector<std::string>* errors) {
+      FleetConfig config;
+      config.workerThreads = workers;
+      config.capturePortWrites = true;
+      config.stealChunk = 1;
+      Fleet fleet(image_, config);
+      std::vector<InstanceId> healthy;
+      InstanceId faulty = 0;
+      for (size_t k = 0; k < 4; ++k) {
+        if (k != kFaulty)
+          healthy.push_back(fleet.spawn());
+        else if (withFaulty)
+          faulty = fleet.spawn();
       }
+      for (int e = 0; e < kEpochs; ++e) {
+        for (InstanceId id : healthy) {
+          fleet.setInputPort(id, "Index", static_cast<uint32_t>(e % 4));
+          fleet.injectByName(id, "POKE");
+        }
+        if (withFaulty) {
+          fleet.setInputPort(faulty, "Index", e >= 2 ? pastWindow_ : 0);
+          fleet.injectByName(faulty, "POKE");
+        }
+        try {
+          fleet.step(3);
+        } catch (const Error& err) {
+          errors->push_back(err.what());
+        }
+      }
+      std::vector<std::pair<std::vector<machine::PortWrite>, InstanceSnapshot>> out;
+      for (InstanceId id : healthy)
+        out.emplace_back(fleet.portWrites(id), fleet.snapshot(id));
+      if (withFaulty) {
+        EXPECT_TRUE(fleet.isLive(faulty));
+        EXPECT_EQ(fleet.snapshot(faulty).firedTransitions, 2)
+            << "a faulted instance is not stepped again";
+        fleet.retire(faulty);
+        fleet.step(1);  // retiring it leaves a fleet that steps cleanly
+      }
+      return out;
+    };
+    std::vector<std::string> errors;
+    std::vector<std::string> noErrors;
+    const auto mixed = run(true, &errors);
+    const auto clean = run(false, &noErrors);
+    EXPECT_TRUE(noErrors.empty());
+    ASSERT_EQ(errors.size(), 1u) << "one throw, in the epoch that faulted";
+    EXPECT_EQ(errors[0], "fleet instance 2 faulted in epoch 3 (1 faulted this "
+                         "epoch): PSCP: data write to unmapped address 0x8000")
+        << workers << " workers";
+    ASSERT_EQ(mixed.size(), clean.size());
+    for (size_t k = 0; k < mixed.size(); ++k) {
+      EXPECT_EQ(mixed[k].first, clean[k].first) << "healthy instance " << k;
+      EXPECT_EQ(mixed[k].second.machineCycles, clean[k].second.machineCycles);
+      EXPECT_EQ(mixed[k].second.quiescentCycles, clean[k].second.quiescentCycles);
+      EXPECT_EQ(mixed[k].second.firedTransitions, kEpochs);
     }
   }
 }

@@ -26,8 +26,6 @@ Journal makeSampleJournal() {
   j.setImageHash(0x1234'5678'9abc'def0ull);
   j.setEventQueueCapacity(256);
   j.setRecordedWorkers(4);
-  j.setRecordedSoa(false);
-  j.setSimdLevel("avx2");
 
   j.recordSpawn(0);
   j.recordSpawn(1);
@@ -54,8 +52,6 @@ void expectJournalsEqual(const Journal& a, const Journal& b) {
   EXPECT_EQ(a.imageHash(), b.imageHash());
   EXPECT_EQ(a.eventQueueCapacity(), b.eventQueueCapacity());
   EXPECT_EQ(a.recordedWorkers(), b.recordedWorkers());
-  EXPECT_EQ(a.recordedSoa(), b.recordedSoa());
-  EXPECT_EQ(a.simdLevel(), b.simdLevel());
   EXPECT_EQ(a.spanCount(), b.spanCount());
 
   ASSERT_EQ(a.ops().size(), b.ops().size());
@@ -109,6 +105,31 @@ TEST(Journal, BinaryRoundTripPreservesEveryOpAndCheckpoint) {
   std::string error;
   ASSERT_TRUE(Journal::parseBinary(bytes, &parsed, &error)) << error;
   expectJournalsEqual(original, parsed);
+}
+
+TEST(Journal, RetiredHeaderFieldsAreSkippedOnRead) {
+  // Journals written before the stepping-mode and SIMD-level header
+  // fields were retired still carry them; both framings must still load.
+  const Journal original = makeSampleJournal();
+  JsonValue doc = original.toJson();
+  doc.set("recorded_soa", JsonValue::makeBool(false));
+  doc.set("simd", JsonValue::makeString("avx2"));
+  Journal fromJson;
+  std::string error;
+  ASSERT_TRUE(Journal::parse(doc.dump(1), &fromJson, &error)) << error;
+  expectJournalsEqual(original, fromJson);
+
+  // Binary: magic, version, chart name, image hash, queue capacity,
+  // checkpoint interval and workers precede the reserved flag byte and
+  // string. Fill them the way an older writer did.
+  std::string bytes = original.dumpBinary();
+  const size_t flag = 8 + 4 + 4 + original.chartName().size() + 8 + 8 + 8 + 4;
+  ASSERT_EQ(bytes.substr(flag + 1, 4), std::string(4, '\0')) << "empty string";
+  bytes[flag] = 0;
+  bytes.replace(flag + 1, 4, std::string("\x04\0\0\0avx2", 8));
+  Journal fromBinary;
+  ASSERT_TRUE(Journal::parseBinary(bytes, &fromBinary, &error)) << error;
+  expectJournalsEqual(original, fromBinary);
 }
 
 TEST(Journal, OpLogAcrossBlocksKeepsOrderAndAddresses) {

@@ -1,6 +1,6 @@
 // Replay engine tests (src/obs/journal/replay): the acceptance matrix —
 // bit-identical replay of a recorded SMD fleet across worker counts and
-// stepping modes — plus retire-mid-interval, empty journals, wrong-image
+// tier modes — plus retire-mid-interval, empty journals, wrong-image
 // refusal, exact-epoch bisection of a corrupted journal, and the causal
 // span tracker's Chrome-trace lowering.
 //
@@ -69,17 +69,19 @@ TEST(Replay, BitIdenticalAcrossWorkersAndSteppingModes) {
   const Recording rec = recordSmdRun(64, 12, 4);
   const Replayer replayer(rec.journal.get(), rec.image);
   for (const int workers : {1, 2, 8}) {
-    for (const bool soa : {true, false}) {
+    for (const tep::jit::JitMode mode :
+         {tep::jit::JitMode::kOff, tep::jit::JitMode::kAlways}) {
       ReplayOptions options;
       options.workerThreads = workers;
-      options.soaBatching = soa;
+      options.jitMode = mode;
       const ReplayResult result = replayer.run(options);
       ASSERT_TRUE(result.ok) << result.error;
       EXPECT_GT(result.checkpointsChecked, 0);
       if (!result.verified) {
         saveRepro(*rec.journal, "JOURNAL_repro_bitident.json");
-        FAIL() << "replay diverged at workers=" << workers << " soa=" << soa
-               << " checkpoint epoch " << result.firstMismatch.epoch;
+        FAIL() << "replay diverged at workers=" << workers
+               << " jit=" << tep::jit::jitModeName(mode) << " checkpoint epoch "
+               << result.firstMismatch.epoch;
       }
     }
   }
@@ -91,16 +93,17 @@ TEST(Replay, AllConfigurationsAgreeOnTheFinalDigest) {
   uint64_t expected = 0;
   bool first = true;
   for (const int workers : {1, 3, 8}) {
-    for (const bool soa : {true, false}) {
+    for (const tep::jit::JitMode mode :
+         {tep::jit::JitMode::kOff, tep::jit::JitMode::kAlways}) {
       ReplayOptions options;
       options.workerThreads = workers;
-      options.soaBatching = soa;
+      options.jitMode = mode;
       const ReplayResult result = replayer.run(options);
       ASSERT_TRUE(result.ok) << result.error;
       if (first) expected = result.finalDigest;
       first = false;
       EXPECT_EQ(result.finalDigest, expected)
-          << "workers=" << workers << " soa=" << soa;
+          << "workers=" << workers << " jit=" << tep::jit::jitModeName(mode);
     }
   }
   EXPECT_NE(expected, kFleetDigestSeed) << "16 live instances must fold in";

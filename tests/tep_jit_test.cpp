@@ -17,8 +17,7 @@
 //      match on every cycle.
 //   3. Fleet/journal level — a journal recorded under the interpreter
 //      must verify (CR digest checkpoints) when replayed with the native
-//      tier forced on, for 1 and 2 TEPs at 1, 2, 4 and 8 workers, SoA
-//      batching on and off.
+//      tier forced on, for 1 and 2 TEPs at 1, 2, 4 and 8 workers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -1161,7 +1160,7 @@ TEST(TepJitMachine, AutoThresholdPromotesHotRoutines) {
 
 // --------------------------------------------------- fleet-level diffing
 
-TEST(TepJitFleet, FleetJitMatchesInterpAcrossWorkersAndSoa) {
+TEST(TepJitFleet, FleetJitMatchesInterpAcrossWorkers) {
   // Both images: 1 TEP (every cycle serial) and the paper's 2 TEPs (the
   // pulse pairs run as native lanes of the lockstep loop).
   constexpr size_t kInstances = 12;
@@ -1169,10 +1168,9 @@ TEST(TepJitFleet, FleetJitMatchesInterpAcrossWorkersAndSoa) {
 
   for (const int numTeps : {1, 2}) {
     const auto image = workloads::makeSmdFleetImage(numTeps);
-    auto runFleet = [&](jit::JitMode mode, int workers, bool soa, int64_t* nativeRuns) {
+    auto runFleet = [&](jit::JitMode mode, int workers, int64_t* nativeRuns) {
       fleet::FleetConfig config;
       config.workerThreads = workers;
-      config.soaBatching = soa;
       config.jitMode = mode;
       config.jitThreshold = 4;
       fleet::Fleet fleet(image, config);
@@ -1191,23 +1189,20 @@ TEST(TepJitFleet, FleetJitMatchesInterpAcrossWorkersAndSoa) {
     };
 
     int64_t nativeRuns = 0;
-    const auto reference = runFleet(jit::JitMode::kOff, 1, false, &nativeRuns);
+    const auto reference = runFleet(jit::JitMode::kOff, 1, &nativeRuns);
     EXPECT_EQ(nativeRuns, 0);
     for (const int workers : {1, 2, 4, 8}) {
-      for (const bool soa : {false, true}) {
-        const auto got = runFleet(jit::JitMode::kAlways, workers, soa, &nativeRuns);
-        if (jit::jitBackendAvailable())
-          EXPECT_GT(nativeRuns, 0) << "teps=" << numTeps << " workers=" << workers;
-        ASSERT_EQ(got.size(), reference.size());
-        for (size_t i = 0; i < got.size(); ++i) {
-          EXPECT_EQ(got[i].machineCycles, reference[i].machineCycles)
-              << "instance " << i << " teps=" << numTeps << " workers=" << workers
-              << " soa=" << soa;
-          EXPECT_EQ(got[i].configCycles, reference[i].configCycles) << i;
-          EXPECT_EQ(got[i].firedTransitions, reference[i].firedTransitions) << i;
-          EXPECT_EQ(got[i].quiescentCycles, reference[i].quiescentCycles) << i;
-          EXPECT_EQ(got[i].activeStates, reference[i].activeStates) << i;
-        }
+      const auto got = runFleet(jit::JitMode::kAlways, workers, &nativeRuns);
+      if (jit::jitBackendAvailable())
+        EXPECT_GT(nativeRuns, 0) << "teps=" << numTeps << " workers=" << workers;
+      ASSERT_EQ(got.size(), reference.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].machineCycles, reference[i].machineCycles)
+            << "instance " << i << " teps=" << numTeps << " workers=" << workers;
+        EXPECT_EQ(got[i].configCycles, reference[i].configCycles) << i;
+        EXPECT_EQ(got[i].firedTransitions, reference[i].firedTransitions) << i;
+        EXPECT_EQ(got[i].quiescentCycles, reference[i].quiescentCycles) << i;
+        EXPECT_EQ(got[i].activeStates, reference[i].activeStates) << i;
       }
     }
   }
@@ -1235,8 +1230,7 @@ TEST(TepJitFleet, TierMetricsSurfaceInMergedMetrics) {
 TEST(TepJitJournal, InterpreterRecordingVerifiesUnderJit) {
   // Record the SMD duty cycle under the interpreter, then verify the CR
   // digest checkpoints replaying with the native tier forced on — across
-  // TEP counts, worker counts and batching modes (the PR-8 acceptance
-  // matrix).
+  // TEP counts and worker counts.
   for (const int numTeps : {1, 2}) {
     const auto image = workloads::makeSmdFleetImage(numTeps);
     fleet::FleetConfig config;
@@ -1260,19 +1254,16 @@ TEST(TepJitJournal, InterpreterRecordingVerifiesUnderJit) {
 
     const obs::journal::Replayer replayer(&journal, image);
     for (const int workers : {1, 2, 4, 8}) {
-      for (const bool soa : {false, true}) {
-        obs::journal::ReplayOptions options;
-        options.workerThreads = workers;
-        options.soaBatching = soa;
-        options.jitMode = jit::JitMode::kAlways;
-        options.jitThreshold = 1;
-        const obs::journal::ReplayResult result = replayer.run(options);
-        ASSERT_TRUE(result.ok) << result.error;
-        EXPECT_TRUE(result.verified)
-            << "teps=" << numTeps << " workers=" << workers << " soa=" << soa
-            << " first mismatch at epoch " << result.firstMismatch.epoch;
-        EXPECT_GT(result.checkpointsChecked, 0);
-      }
+      obs::journal::ReplayOptions options;
+      options.workerThreads = workers;
+      options.jitMode = jit::JitMode::kAlways;
+      options.jitThreshold = 1;
+      const obs::journal::ReplayResult result = replayer.run(options);
+      ASSERT_TRUE(result.ok) << result.error;
+      EXPECT_TRUE(result.verified)
+          << "teps=" << numTeps << " workers=" << workers
+          << " first mismatch at epoch " << result.firstMismatch.epoch;
+      EXPECT_GT(result.checkpointsChecked, 0);
     }
   }
 }
